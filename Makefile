@@ -34,7 +34,7 @@ bench:
 # cmd/benchjson (name, iterations, and every metric incl. sim-req/s).
 # CI runs it with BENCHTIME=1x as a smoke test so the bench path cannot
 # rot; locally the default 1s benchtime gives comparable numbers.
-BENCH_JSON ?= BENCH_PR10.json
+BENCH_JSON ?= bench-local.json
 BENCHTIME ?= 1s
 bench-json:
 	@set -e; \
@@ -43,7 +43,13 @@ bench-json:
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson > $(BENCH_JSON); \
 	echo "bench-json: wrote $(BENCH_JSON)"
 
-# The plan-sweep speedup trajectory: parallel must stay ≥3× serial.
+# The plan-sweep benches. They measure different work, so their ratios
+# are not speedups: SweepSerial fully costs every candidate, SweepParallel
+# prunes infeasible ones before costing (most of the grid), and
+# SweepWarmCache re-runs on a memo holding every evaluation, timing the
+# engine layer alone (B/candidate, candidates/s). Speed claims come from
+# same-machine A/B runs of perfbench (perfbench/README.md, "Rules for
+# claims"), not from these numbers.
 sweep-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem .
 

@@ -8,6 +8,7 @@ package optimus
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"optimus/internal/arch"
@@ -370,7 +371,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // BenchmarkSweepWarmCache re-runs the grid on one engine whose memo
 // already holds every evaluation — the steady state of a long planning
-// session, and the target the cross-run result cache must hold.
+// session, and the target the cross-run result cache must hold. What it
+// times is the engine layer alone: enumeration, dispatch and ranking.
 func BenchmarkSweepWarmCache(b *testing.B) {
 	spec := sweepBenchSpec(b)
 	ctx := context.Background()
@@ -378,10 +380,19 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 	if _, err := e.Run(ctx, spec); err != nil {
 		b.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
+	candidates := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(ctx, spec); err != nil {
+		res, err := e.Run(ctx, spec)
+		if err != nil {
 			b.Fatal(err)
 		}
+		candidates += res.Stats.Enumerated
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(candidates), "B/candidate")
+	b.ReportMetric(float64(candidates)/b.Elapsed().Seconds(), "candidates/s")
 }

@@ -75,6 +75,12 @@ func cmdSweep(args []string) error {
 		// grid evaluation.
 		return fmt.Errorf("unknown format %q (text|csv|json)", *format)
 	}
+	if *topK < 0 {
+		return fmt.Errorf("-top %d is negative (0 = default 10)", *topK)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d is negative (0 = GOMAXPROCS)", *workers)
+	}
 
 	spec := optimus.SweepSpec{
 		Constraints: optimus.PlanConstraints{

@@ -546,6 +546,8 @@ func TestCmdSweepFlagErrorsNameFlags(t *testing.T) {
 		{[]string{"-trace", "x.csv", "-schedules", "0-10:2"}, "-schedules"},
 		{[]string{"-trace", "x.csv", "-turns", "3"}, "-turns"},
 		{[]string{"-trace", "x.csv", "-think", "1"}, "-think"},
+		{[]string{"-top", "-3"}, "-top"},
+		{[]string{"-workers", "-2"}, "-workers"},
 	} {
 		err := cmdSweep(append(append([]string{}, base...), tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {

@@ -51,15 +51,28 @@ type counters struct {
 	errors    atomic.Int64
 }
 
-// slot is one candidate's outcome, written by exactly one worker.
-type slot struct {
-	m  Metrics
-	ok bool // costed successfully (pruned and errored slots stay false)
+// chunkSize is how many consecutive candidates of one cell a worker takes
+// per dispatch: large enough to amortize the channel hand-off over cheap
+// pruned or memo-hit candidates, small enough to spread a large cell
+// across the pool.
+const chunkSize = 32
+
+// chunk is a run of consecutive candidates; base is the enumeration index
+// of points[0], the rank tiebreak.
+type chunk struct {
+	base   int
+	points []Point
 }
 
 // Run evaluates the grid concurrently and returns the same ranking Serial
 // would produce. On cancellation it returns ctx.Err() alongside the
 // statistics accumulated so far.
+//
+// The engine never copies the grid: it holds the enumerators' per-cell
+// candidate lists, hands them to the workers in chunks, and each worker
+// keeps only the rows rank could still return. Beyond those lists, memory
+// is bounded by TopK × workers (at most 2 × TopK rows per worker), not by
+// the grid size.
 func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 	start := time.Now() //lint:deterministic wall-clock feeds Stats.Elapsed instrumentation only, never rankings or metrics
 	if err := s.Validate(); err != nil {
@@ -70,7 +83,14 @@ func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	points := Enumerate(s)
+	// Every cell is walked before the pool starts, so the pool can be
+	// clamped to the candidate count.
+	var cells [][]Point
+	enumerated := 0
+	forEachCell(s, func(cell []Point) {
+		cells = append(cells, cell)
+		enumerated += len(cell)
+	})
 	c := s.Constraints.WithDefaults(firstSystem(s))
 	// Overflowing candidates must still be costed when they are kept in
 	// the ranking, so pruning is only sound when they would be dropped.
@@ -80,16 +100,19 @@ func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 	if s.Workers > 0 {
 		workers = s.Workers
 	}
-	if workers > len(points) {
-		workers = len(points)
+	if workers > enumerated {
+		workers = enumerated
 	}
 	if workers < 1 {
 		workers = 1
 	}
 
-	slots := make([]slot, len(points))
 	var ct counters
-	idx := make(chan int)
+	chunks := make(chan chunk)
+	// kept[w] is worker w's share of the ranking. rank's order (fits,
+	// time, enumeration index) is total, so ranking the union of every
+	// worker's top-K gives exactly the top-K of all rows.
+	kept := make([][]Row, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -99,31 +122,52 @@ func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 			// tables survive across the points this goroutine costs
 			// (byte-identical to fresh evaluation — see Evaluate).
 			ev := newEvaluator()
-			for i := range idx {
-				m, ok := e.eval(ctx, points[i], prune, &ct, ev)
-				slots[i] = slot{m: m, ok: ok}
+			done := ctx.Done()
+			var rows []Row
+			for ch := range chunks {
+				for i := range ch.points {
+					select {
+					case <-done:
+						continue
+					default:
+					}
+					p := &ch.points[i]
+					m, ok := e.eval(ctx, p, prune, &ct, ev)
+					if !ok {
+						continue
+					}
+					rows = append(rows, Row{Point: *p, Metrics: m, order: ch.base + i})
+					if len(rows)-c.TopK >= c.TopK {
+						rows = rank(rows, c)
+					}
+				}
 			}
+			kept[w] = rows
 		}()
 	}
+	base := 0
 feed:
-	for i := range points {
-		// Checked before the send: when both select cases are ready Go
-		// picks randomly, which would let a cancelled context still feed
-		// (and cost) candidates.
-		if ctx.Err() != nil {
-			break feed
+	for _, cell := range cells {
+		for off := 0; off < len(cell); off += chunkSize {
+			// Checked before the send: when both select cases are ready Go
+			// picks randomly, which would let a cancelled context still
+			// feed (and cost) candidates.
+			if ctx.Err() != nil {
+				break feed
+			}
+			select {
+			case chunks <- chunk{base: base + off, points: cell[off:min(off+chunkSize, len(cell))]}:
+			case <-ctx.Done():
+				break feed
+			}
 		}
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
+		base += len(cell)
 	}
-	close(idx)
+	close(chunks)
 	wg.Wait()
 
 	stats := Stats{
-		Enumerated: len(points),
+		Enumerated: enumerated,
 		Pruned:     int(ct.pruned.Load()),
 		Evaluated:  int(ct.evaluated.Load()),
 		MemoHits:   int(ct.memoHits.Load()),
@@ -134,11 +178,9 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return Result{Stats: stats}, err
 	}
-	rows := make([]Row, 0, len(points))
-	for i, sl := range slots {
-		if sl.ok {
-			rows = append(rows, Row{Point: points[i], Metrics: sl.m, order: i})
-		}
+	var rows []Row
+	for _, r := range kept {
+		rows = append(rows, r...)
 	}
 	stats.Elapsed = time.Since(start) //lint:deterministic instrumentation-only elapsed time, not part of results
 	return Result{Rows: rank(rows, c), Stats: stats}, nil
@@ -147,13 +189,13 @@ feed:
 // eval costs one point: feasibility pre-check (when pruning is sound),
 // then a memoized full evaluation. Only full evaluations enter the memo —
 // a pruned point costs nothing and decides nothing beyond its own run.
-func (e *Engine) eval(ctx context.Context, p Point, prune bool, ct *counters, ev *evaluator) (Metrics, bool) {
+func (e *Engine) eval(ctx context.Context, p *Point, prune bool, ct *counters, ev *evaluator) (Metrics, bool) {
 	key := p.cachedKey()
 	e.mu.Lock()
 	ent := e.memo[key]
 	e.mu.Unlock()
 	if ent == nil && prune {
-		fit, err := Feasible(p)
+		fit, err := Feasible(*p)
 		if err != nil {
 			ct.errors.Add(1)
 			return Metrics{}, false
@@ -172,7 +214,7 @@ func (e *Engine) eval(ctx context.Context, p Point, prune bool, ct *counters, ev
 			ent = &memoEntry{done: make(chan struct{})}
 			e.memo[key] = ent
 			e.mu.Unlock()
-			ent.m, ent.err = ev.evaluate(p)
+			ent.m, ent.err = ev.evaluate(*p)
 			close(ent.done)
 			if ent.err != nil {
 				ct.errors.Add(1)

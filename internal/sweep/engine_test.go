@@ -3,6 +3,7 @@ package sweep_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -168,5 +169,46 @@ func TestWorkerCountClamped(t *testing.T) {
 	}
 	if res.Stats.Workers > res.Stats.Enumerated {
 		t.Errorf("pool of %d workers for %d candidates", res.Stats.Workers, res.Stats.Enumerated)
+	}
+}
+
+// TestEngineWarmAllocBudget pins the engine layer's memory per enumerated
+// candidate on a warm memo, where evaluation costs nothing and what is
+// left is enumeration, dispatch and ranking. A grid-sized per-candidate
+// slot or row array, or a merged copy of the grid, would exceed it.
+func TestEngineWarmAllocBudget(t *testing.T) {
+	const budget = 2500 // bytes per enumerated candidate
+	var systems []*arch.System
+	for _, n := range []int{64, 128, 256, 512} {
+		systems = append(systems, dgx(t, n))
+	}
+	spec := sweep.Spec{
+		Models:        []model.Config{model.GPT175B(), model.GPT530B()},
+		Systems:       systems,
+		GlobalBatches: []int{512, 1024, 2048},
+		Workers:       2,
+	}
+	e := sweep.New(2)
+	if _, err := e.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	enumerated := 0
+	for i := 0; i < runs; i++ {
+		res, err := e.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enumerated += res.Stats.Enumerated
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(enumerated)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(enumerated)
+	t.Logf("%d candidates per run: %.0f B and %.2f allocs per candidate", enumerated/runs, per, allocs)
+	if per > budget {
+		t.Errorf("warm Engine.Run allocates %.0f B per candidate, budget %d", per, budget)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"optimus/internal/arch"
@@ -84,7 +85,8 @@ type Constraints struct {
 	// (flagged, after all fitting ones). It also disables the engine's
 	// feasibility pruning, since overflowing candidates must be costed.
 	AllowOverflow bool
-	// TopK bounds the returned rows; zero means 10.
+	// TopK bounds the returned rows; zero means 10, negative is
+	// rejected.
 	TopK int
 }
 
@@ -227,8 +229,8 @@ type Spec struct {
 	ServeSeed int64
 	// Constraints bound the per-cell mapping enumeration.
 	Constraints Constraints
-	// Workers bounds the engine's pool; zero means GOMAXPROCS. Serial
-	// ignores it.
+	// Workers bounds the engine's pool; zero means GOMAXPROCS, negative
+	// is rejected. Serial ignores it.
 	Workers int
 }
 
@@ -323,6 +325,12 @@ func (s Spec) withDefaults() Spec {
 
 // Validate checks the grid shape.
 func (s Spec) Validate() error {
+	if s.Constraints.TopK < 0 {
+		return fmt.Errorf("sweep: negative Constraints.TopK %d (zero means 10)", s.Constraints.TopK)
+	}
+	if s.Workers < 0 {
+		return fmt.Errorf("sweep: negative Workers %d (zero means GOMAXPROCS)", s.Workers)
+	}
 	if s.Workload != Serving {
 		if len(s.Rates) > 0 || len(s.BatchCaps) > 0 || s.ServeRequests != 0 || s.ServeSeed != 0 {
 			return fmt.Errorf("sweep: Rates/BatchCaps/ServeRequests/ServeSeed apply to serving sweeps only")
@@ -675,7 +683,7 @@ func (p Point) Key() string {
 
 // cachedKey returns the enumeration-time key without re-formatting; hot
 // paths use it on points the enumerators built.
-func (p Point) cachedKey() string {
+func (p *Point) cachedKey() string {
 	if p.key != "" {
 		return p.key
 	}
@@ -704,20 +712,28 @@ func fingerprint(v any) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
+// keyFieldsCap reserves room for the key's separators and numeric fields,
+// beyond its tokens: training keys take 66–69 bytes there, so 96 covers
+// them and typical serving keys without the buffer growing.
+const keyFieldsCap = 96
+
 // buildKey assembles the canonical key without fmt: key construction runs
 // once per enumerated candidate and dominated sweep time when it used
 // reflection-based formatting. The model, system and workload tokens are
 // computed once per grid cell (or once per grid, for a shared trace) by
-// the enumerators.
-func (p Point) buildKey(modelStr, sysStr, workloadStr string) string {
+// the enumerators. The builder is sized up front, so the common key costs
+// one allocation.
+func (p *Point) buildKey(modelStr, sysStr, workloadStr string) string {
 	sp := 0
 	if p.Map.SP {
 		sp = 1
 	}
-	buf := make([]byte, 0, len(modelStr)+len(sysStr)+64)
-	buf = append(buf, modelStr...)
-	buf = append(buf, '|')
-	buf = append(buf, sysStr...)
+	var b strings.Builder
+	b.Grow(len(modelStr) + len(sysStr) + len(workloadStr) + keyFieldsCap)
+	b.WriteString(modelStr)
+	b.WriteByte('|')
+	b.WriteString(sysStr)
+	var num [32]byte
 	for _, v := range [...]int{
 		int(p.Workload), p.Map.DP, p.Map.TP, p.Map.PP, sp,
 		p.Map.Microbatch, int(p.Map.Schedule), p.Map.VirtualStages,
@@ -726,28 +742,27 @@ func (p Point) buildKey(modelStr, sysStr, workloadStr string) string {
 		p.PrefillDevices, p.DecodeDevices, p.Replicas, int(p.Routing),
 		p.PrefixTokens, p.Turns,
 	} {
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(v), 10)
+		b.WriteByte('|')
+		b.Write(strconv.AppendInt(num[:0], int64(v), 10))
 	}
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, p.ServeSeed, 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.Rate, 'g', -1, 64)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.TransferGBps, 'g', -1, 64)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.HostKVBytes, 'g', -1, 64)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.SwapGBps, 'g', -1, 64)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.Think, 'g', -1, 64)
+	b.WriteByte('|')
+	b.Write(strconv.AppendInt(num[:0], p.ServeSeed, 10))
+	for _, f := range [...]float64{p.Rate, p.TransferGBps, p.HostKVBytes, p.SwapGBps, p.Think} {
+		b.WriteByte('|')
+		if math.Float64bits(f) == 0 {
+			// +0, the common case, rendered as AppendFloat would.
+			b.WriteByte('0')
+			continue
+		}
+		b.Write(strconv.AppendFloat(num[:0], f, 'g', -1, 64))
+	}
 	// The schedule token is FormatSchedule's canonical rendering: digits
 	// and ,-:. only, so it cannot collide with the key's separators.
-	buf = append(buf, '|')
-	buf = append(buf, workload.FormatSchedule(p.Schedule)...)
-	buf = append(buf, '|')
-	buf = append(buf, workloadStr...)
-	return string(buf)
+	b.WriteByte('|')
+	b.WriteString(workload.FormatSchedule(p.Schedule))
+	b.WriteByte('|')
+	b.WriteString(workloadStr)
+	return b.String()
 }
 
 // workloadToken identifies a serving candidate's request-shape workload —
@@ -882,10 +897,15 @@ func divisors(n int) []int {
 // system, batch, seq, precision) grid cell: the feasible (DP, TP, PP, SP,
 // microbatch, schedule, recompute) space under c, in deterministic order.
 func EnumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints) []Point {
+	return enumerateTraining(cfg, sys, batch, seq, prec, c, modelToken(cfg), systemToken(sys))
+}
+
+// enumerateTraining is EnumerateTraining with the model and system tokens
+// made by the caller, once per grid rather than once per cell.
+func enumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints, modelStr, sysStr string) []Point {
 	c = c.WithDefaults(sys)
 	devices := sys.NumDevices()
-	modelStr, sysStr := modelToken(cfg), systemToken(sys)
-	var out []Point
+	var maps []parallel.Mapping
 	for _, tp := range divisors(devices) {
 		if tp > c.MaxTP || cfg.Heads%tp != 0 {
 			continue
@@ -917,17 +937,22 @@ func EnumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec 
 						continue
 					}
 					pp1Done = true
-					for _, rec := range c.Recomputes {
-						p := Point{
-							Workload: Training, Model: cfg, System: sys,
-							Map: m, Recompute: rec, Precision: prec,
-							GlobalBatch: batch, Seq: seq,
-						}
-						p.key = p.buildKey(modelStr, sysStr, "")
-						out = append(out, p)
-					}
+					maps = append(maps, m)
 				}
 			}
+		}
+	}
+	// Points are large: build them in place, in a slice sized once.
+	out := make([]Point, 0, len(maps)*len(c.Recomputes))
+	for _, m := range maps {
+		for _, rec := range c.Recomputes {
+			out = append(out, Point{
+				Workload: Training, Model: cfg, System: sys,
+				Map: m, Recompute: rec, Precision: prec,
+				GlobalBatch: batch, Seq: seq,
+			})
+			p := &out[len(out)-1]
+			p.key = p.buildKey(modelStr, sysStr, "")
 		}
 	}
 	return out
@@ -937,6 +962,11 @@ func EnumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec 
 // cell. Inference involves only TP across the devices of the system
 // (§1.3), so each cell yields at most one mapping.
 func EnumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen int, prec tech.Precision) []Point {
+	return enumerateInference(cfg, sys, batch, prompt, gen, prec, modelToken(cfg), systemToken(sys))
+}
+
+// enumerateInference is EnumerateInference with caller-made tokens.
+func enumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen int, prec tech.Precision, modelStr, sysStr string) []Point {
 	tp := sys.NumDevices()
 	if cfg.Heads%tp != 0 {
 		return nil
@@ -946,7 +976,7 @@ func EnumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen i
 		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
 		Precision: prec, GlobalBatch: batch, Seq: prompt, GenTokens: gen,
 	}
-	p.key = p.buildKey(modelToken(cfg), systemToken(sys), "")
+	p.key = p.buildKey(modelStr, sysStr, "")
 	return []Point{p}
 }
 
@@ -1087,6 +1117,18 @@ func enumerateServingTrace(cfg model.Config, sys *arch.System, trace []serve.Tra
 // Enumerate expands the full grid into its deduplicated candidate list,
 // in deterministic order.
 func Enumerate(s Spec) []Point {
+	var out []Point
+	forEachCell(s, func(cell []Point) { out = append(out, cell...) })
+	return out
+}
+
+// forEachCell walks the grid cell by cell in enumeration order and hands
+// emit each cell's candidates with every key already seen dropped; empty
+// cells are skipped. Concatenating the emitted slices gives Enumerate's
+// list. A cell is copied only when it holds a duplicate: the enumerators'
+// slices are never compacted in place, since addFleet reads a cell again
+// after adding it.
+func forEachCell(s Spec, emit func([]Point)) {
 	s = s.withDefaults()
 	// Workload tokens are fingerprints over the full mix/trace contents;
 	// hash each once per grid, not once per candidate.
@@ -1095,20 +1137,33 @@ func Enumerate(s Spec) []Point {
 	for i, mix := range s.Mixes {
 		mixToks[i] = workloadToken(mix, nil)
 	}
-	var out []Point
 	seen := make(map[string]bool)
 	add := func(points []Point) {
-		for _, p := range points {
-			k := p.cachedKey()
-			if seen[k] {
+		for i := range points {
+			k := points[i].cachedKey()
+			if !seen[k] {
+				seen[k] = true
 				continue
 			}
-			seen[k] = true
-			out = append(out, p)
+			kept := append(make([]Point, 0, len(points)-1), points[:i]...)
+			for j := range points[i+1:] {
+				p := &points[i+1+j]
+				if k := p.cachedKey(); !seen[k] {
+					seen[k] = true
+					kept = append(kept, *p)
+				}
+			}
+			points = kept
+			break
+		}
+		if len(points) > 0 {
+			emit(points)
 		}
 	}
 	for _, cfg := range s.Models {
+		modelTok := modelToken(cfg)
 		for _, sys := range s.Systems {
+			sysTok := systemToken(sys)
 			for _, prec := range s.Precisions {
 				switch s.Workload {
 				case Serving:
@@ -1129,7 +1184,6 @@ func Enumerate(s Spec) []Point {
 					// duplicate simulations under distinct keys). The base
 					// enumerators key their points with zero fleet fields,
 					// so only fleet copies need re-keying.
-					modelTok, sysTok := modelToken(cfg), systemToken(sys)
 					// The arrival axis: every constant rate, then every
 					// schedule — canonicalized first, so a schedule that is
 					// constant after merging enumerates as the equivalent
@@ -1251,21 +1305,20 @@ func Enumerate(s Spec) []Point {
 					for _, batch := range s.GlobalBatches {
 						for _, seq := range s.Seqs {
 							for _, gen := range s.GenTokens {
-								add(EnumerateInference(cfg, sys, batch, seq, gen, prec))
+								add(enumerateInference(cfg, sys, batch, seq, gen, prec, modelTok, sysTok))
 							}
 						}
 					}
 				default:
 					for _, batch := range s.GlobalBatches {
 						for _, seq := range s.Seqs {
-							add(EnumerateTraining(cfg, sys, batch, seq, prec, s.Constraints))
+							add(enumerateTraining(cfg, sys, batch, seq, prec, s.Constraints, modelTok, sysTok))
 						}
 					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // Evaluate runs the full cost model on one point — on fresh simulator

@@ -3,6 +3,7 @@ package sweep_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -141,37 +142,75 @@ func formatRows(rows []sweep.Row) string {
 	return b.String()
 }
 
-// TestGridDeterministicAcrossWorkerCounts sweeps a multi-cell grid and
+// TestGridDeterministicAcrossWorkerCounts sweeps multi-cell grids and
 // checks the ranking is identical for every pool size and equal to the
-// serial reference.
+// serial reference, row for row.
 func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
-	spec := sweep.Spec{
-		Models:        []model.Config{model.GPT22B(), model.GPT7B()},
-		Systems:       []*arch.System{dgx(t, 8), dgx(t, 16)},
+	cfg, sys := model.GPT22B(), dgx(t, 8)
+	base := sweep.Spec{
+		Models:        []model.Config{cfg, model.GPT7B()},
+		Systems:       []*arch.System{sys, dgx(t, 16)},
 		GlobalBatches: []int{16, 32},
 		Constraints:   sweep.Constraints{TopK: 30},
 	}
-	ref, err := sweep.Serial(spec)
-	if err != nil {
-		t.Fatal(err)
+	with := func(f func(*sweep.Spec)) sweep.Spec {
+		s := base
+		f(&s)
+		return s
 	}
-	golden := formatRows(ref.Rows)
-	if len(ref.Rows) == 0 {
-		t.Fatal("empty reference ranking")
+	// One cell spread over several dispatch chunks.
+	big := sweep.Spec{
+		Models: []model.Config{cfg}, Systems: []*arch.System{dgx(t, 64)},
+		GlobalBatches: []int{64}, Constraints: sweep.Constraints{TopK: 30},
 	}
-	for _, workers := range []int{1, 2, 5, 16} {
-		spec.Workers = workers
-		res, err := sweep.Run(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := formatRows(res.Rows); got != golden {
-			t.Errorf("workers=%d grid ranking diverges:\ngot:\n%swant:\n%s", workers, got, golden)
-		}
-		if res.Stats.Enumerated != ref.Stats.Enumerated {
-			t.Errorf("workers=%d enumerated %d, serial %d", workers,
-				res.Stats.Enumerated, ref.Stats.Enumerated)
-		}
+	if n := len(sweep.Enumerate(big)); n <= 2*sweep.ChunkSize {
+		t.Fatalf("big cell has %d candidates, want more than two chunks of %d", n, sweep.ChunkSize)
+	}
+	for _, tc := range []struct {
+		name string
+		spec sweep.Spec
+	}{
+		{"base", base},
+		// Repeated axis values: whole cells and, through the repeated
+		// microbatch, parts of cells deduplicate on the engine path.
+		{"duplicates", with(func(s *sweep.Spec) {
+			s.Models = []model.Config{cfg, cfg}
+			s.Systems = []*arch.System{sys, sys}
+			s.GlobalBatches = []int{16, 32, 16}
+			s.Constraints.Microbatches = []int{1, 2, 1}
+		})},
+		{"top1", with(func(s *sweep.Spec) { s.Constraints.TopK = 1 })},
+		{"top-all", with(func(s *sweep.Spec) { s.Constraints.TopK = 100000 })},
+		{"overflow", with(func(s *sweep.Spec) { s.Constraints.AllowOverflow = true })},
+		{"big-cell", big},
+	} {
+		spec := tc.spec
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := sweep.Serial(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := formatRows(ref.Rows)
+			if len(ref.Rows) == 0 {
+				t.Fatal("empty reference ranking")
+			}
+			for _, workers := range []int{1, 2, 5, 16} {
+				spec.Workers = workers
+				res, err := sweep.Run(context.Background(), spec)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if got := formatRows(res.Rows); got != golden {
+					t.Errorf("workers=%d grid ranking diverges:\ngot:\n%swant:\n%s", workers, got, golden)
+				} else if !reflect.DeepEqual(res.Rows, ref.Rows) {
+					t.Errorf("workers=%d rows differ from serial beyond their rendering", workers)
+				}
+				if res.Stats.Enumerated != ref.Stats.Enumerated {
+					t.Errorf("workers=%d enumerated %d, serial %d", workers,
+						res.Stats.Enumerated, ref.Stats.Enumerated)
+				}
+			}
+		})
 	}
 }
 
@@ -412,6 +451,18 @@ func TestSpecValidation(t *testing.T) {
 		Constraints: sweep.Constraints{Microbatches: []int{0}},
 	}); err == nil {
 		t.Error("zero microbatch should error, not panic")
+	}
+	for _, tc := range []struct {
+		spec  sweep.Spec
+		field string
+	}{
+		{sweep.Spec{Constraints: sweep.Constraints{TopK: -3}}, "TopK"},
+		{sweep.Spec{Workers: -2}, "Workers"},
+	} {
+		tc.spec.Models, tc.spec.Systems = []model.Config{model.GPT7B()}, []*arch.System{dgx(t, 8)}
+		if _, err := sweep.Run(context.Background(), tc.spec); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: error should name the field, got %v", tc.field, err)
+		}
 	}
 }
 
