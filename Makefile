@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386
+.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 examples
 
 check: vet lint build cover-race
 
@@ -67,6 +67,17 @@ cluster-bench:
 # unbuilt.
 build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
+
+# Run every example program end to end: they are the only callers of
+# the public optimus.Serve*/Cluster* re-exports, so a rewiring behind
+# them that breaks an example fails here. Any non-zero exit fails.
+EXAMPLES := $(sort $(dir $(wildcard examples/*/main.go)))
+examples:
+	@set -e; \
+	for d in $(EXAMPLES); do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null; \
+	done
 
 # Short smoke run of every checked-in fuzz harness. `go test` allows one
 # -fuzz target per invocation, so iterate; the harnesses double as

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"optimus"
+	"optimus/internal/cluster"
 )
 
 func TestCmdCluster(t *testing.T) {
@@ -63,40 +64,6 @@ func TestCmdCluster(t *testing.T) {
 	}
 }
 
-// TestCmdClusterFlagErrorsNameFlags pins the parity surface: rejected
-// flag combinations must name the offending CLI flag, not a library field.
-func TestCmdClusterFlagErrorsNameFlags(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		flag string
-	}{
-		{[]string{"-page-tokens", "16"}, "-page-tokens"},
-		{[]string{"-no-preempt"}, "-no-preempt"},
-		{[]string{"-prefill-devices", "1"}, "-prefill-devices"},
-		{[]string{"-decode-devices", "1"}, "-decode-devices"},
-		{[]string{"-transfer-gbps", "50"}, "-transfer-gbps"},
-		{[]string{"-replicas", "0"}, "-replicas"},
-		{[]string{"-rate", "2", "-slo-e2e-p95", "5"}, "-rate"},
-		{[]string{"-min-rate", "1"}, "-slo-e2e-p95"},
-		{[]string{"-knee-probes", "3"}, "-slo-e2e-p95"},
-		{[]string{"-prefix", "64"}, "-prefix"},
-		{[]string{"-kv-host-gb", "4"}, "-kv-host-gb"},
-		{[]string{"-policy", "paged", "-swap-gbps", "32"}, "-kv-host-gb"},
-		{[]string{"-policy", "paged", "-no-preempt", "-prefix", "64"}, "-prefix"},
-		{[]string{"-policy", "paged", "-prefix", "64", "-mix", "a:1:100:50"}, "-prefix"},
-		{[]string{"-schedule", "0-10:2", "-rate", "3"}, "-schedule"},
-		{[]string{"-trace", "x.csv", "-schedule", "0-10:2"}, "-schedule"},
-		{[]string{"-trace", "x.csv", "-turns", "3"}, "-turns"},
-		{[]string{"-trace", "x.csv", "-think", "1"}, "-think"},
-		{[]string{"-schedule", "0-10:2", "-slo-e2e-p95", "5"}, "-schedule"},
-	} {
-		err := cmdCluster(tc.args)
-		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Errorf("args %v: error should name %s, got: %v", tc.args, tc.flag, err)
-		}
-	}
-}
-
 // TestCmdClusterKnee drives the saturation analyzer end to end through
 // the CLI in every output format.
 func TestCmdClusterKnee(t *testing.T) {
@@ -126,8 +93,9 @@ func TestCmdClusterTrace(t *testing.T) {
 	}
 }
 
-// clusterResult runs a small two-replica fleet for the encoder tests.
-func clusterResult(t *testing.T) (optimus.ClusterSpec, optimus.ClusterResult) {
+// clusterResult runs a small two-replica fleet for the encoder tests,
+// returning the single-replica spec it was split from alongside it.
+func clusterResult(t *testing.T) (optimus.ServeSpec, optimus.ClusterSpec, optimus.ClusterResult) {
 	t.Helper()
 	sys, err := optimus.NewSystem("h100", 1, "nvlink4", "ndr")
 	if err != nil {
@@ -137,20 +105,17 @@ func clusterResult(t *testing.T) (optimus.ClusterSpec, optimus.ClusterResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := optimus.ClusterSpec{
-		Replicas: []optimus.ClusterReplica{{
-			Spec:  optimus.ServeSpec{Model: cfg, System: sys, TP: 1, Precision: optimus.FP16},
-			Count: 2,
-		}},
-		Routing:      optimus.RoundRobinRouting,
+	replica := optimus.ServeSpec{
+		Model: cfg, System: sys, TP: 1, Precision: optimus.FP16,
 		PromptTokens: 200, GenTokens: 150,
 		Rate: 2, Requests: 24, Seed: 1,
 	}
+	spec := cluster.FleetOf(replica, 2, optimus.RoundRobinRouting)
 	res, err := optimus.ServeCluster(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return spec, res
+	return replica, spec, res
 }
 
 // clusterCSVHeader is the golden per-request CSV schema: the serve columns
@@ -163,9 +128,9 @@ var clusterCSVHeader = []string{"id", "replica", "tenant", "prompt", "gen",
 // TestWriteClusterCSVGolden: every rendered per-request field must parse
 // back to the in-memory fleet result, including the replica assignment.
 func TestWriteClusterCSVGolden(t *testing.T) {
-	spec, res := clusterResult(t)
+	replica, _, res := clusterResult(t)
 	var b strings.Builder
-	if err := writeCluster(&b, spec, res, "csv"); err != nil {
+	if err := writeCluster(&b, replica, res, "csv"); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
@@ -203,9 +168,9 @@ func TestWriteClusterCSVGolden(t *testing.T) {
 // TestWriteClusterTextGolden: the text rendering must carry the fleet
 // header, the SLO table and one row per replica.
 func TestWriteClusterTextGolden(t *testing.T) {
-	spec, res := clusterResult(t)
+	replica, _, res := clusterResult(t)
 	var b strings.Builder
-	if err := writeCluster(&b, spec, res, "text"); err != nil {
+	if err := writeCluster(&b, replica, res, "text"); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -222,9 +187,9 @@ func TestWriteClusterTextGolden(t *testing.T) {
 // ClusterResult that round-trips the fleet percentiles and per-replica
 // shares losslessly.
 func TestWriteClusterJSONRoundTrip(t *testing.T) {
-	spec, res := clusterResult(t)
+	replica, _, res := clusterResult(t)
 	var b strings.Builder
-	if err := writeCluster(&b, spec, res, "json"); err != nil {
+	if err := writeCluster(&b, replica, res, "json"); err != nil {
 		t.Fatal(err)
 	}
 	var doc optimus.ClusterResult
@@ -250,7 +215,7 @@ func TestWriteClusterJSONRoundTrip(t *testing.T) {
 // kneeResult bisects a small constrained fleet for the encoder tests.
 func kneeResult(t *testing.T) (optimus.ClusterSpec, optimus.ClusterKnee) {
 	t.Helper()
-	spec, _ := clusterResult(t)
+	_, spec, _ := clusterResult(t)
 	spec.Replicas[0].Spec.MaxBatch = 4
 	spec.Rate = 0
 	spec.Requests = 32
@@ -326,7 +291,7 @@ func TestWriteKneeGolden(t *testing.T) {
 // TestWriteKneeLoose: a starved probe budget must be visible in the text
 // output — the satellite bugfix's CLI surface (-knee-probes).
 func TestWriteKneeLoose(t *testing.T) {
-	spec, _ := clusterResult(t)
+	_, spec, _ := clusterResult(t)
 	spec.Replicas[0].Spec.MaxBatch = 4
 	spec.Rate = 0
 	spec.Requests = 64

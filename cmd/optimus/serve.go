@@ -1,23 +1,14 @@
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"optimus"
-	"optimus/internal/tech"
 	"optimus/internal/units"
 )
-
-// defaultClosedClients is the closed-loop concurrency when -arrival closed
-// is used without -clients: a sensible default instead of the raw internal
-// "positive clients" error the zero flag default used to trip.
-const defaultClosedClients = 8
 
 // cmdServe runs the continuous-batching serving simulator: seeded
 // deterministic arrivals over the step-cost engine, reporting TTFT/TPOT/
@@ -25,203 +16,31 @@ const defaultClosedClients = 8
 // timelines (csv), or both (json).
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	modelName := fs.String("model", "llama2-13b", "model preset")
-	device := fs.String("device", "h100", "device preset")
-	deviceFile := fs.String("device-file", "", "JSON device description (overrides -device)")
-	intra := fs.String("intra", "nvlink4", "intra-node fabric")
-	gpus := fs.Int("gpus", 1, "GPU count (= tensor-parallel degree)")
-	prompt := fs.Int("prompt", 200, "prompt tokens per request (single-tenant; see -mix/-trace)")
-	gen := fs.Int("gen", 200, "generated tokens per request (single-tenant; see -mix/-trace)")
-	mix := fs.String("mix", "", "multi-tenant workload mix as tenant:share:prompt[~sigma]:gen[~sigma][:prefix[:prefix-id]][,...] (replaces -prompt/-gen; ~sigma draws heavy-tailed lognormal lengths)")
-	trace := fs.String("trace", "", "CSV trace file to replay (arrival,tenant,prompt,gen[,prefix_id,prefix_tokens[,session,turn]]; replaces the arrival flags)")
-	prefix := fs.Int("prefix", 0, "shared prompt-prefix tokens cached across requests (single-tenant; paged with preemption only)")
-	prec := fs.String("precision", "fp16", "precision")
+	sf := bindServingFlags(fs, 1)
 	arrival := fs.String("arrival", "poisson", "arrival process (poisson|closed)")
-	rate := fs.Float64("rate", 1, "Poisson arrival rate in requests/sec")
-	schedule := fs.String("schedule", "", "piecewise arrival-rate schedule as start-end:rate[,...] in seconds and req/s (replaces -rate; poisson only)")
-	turns := fs.Int("turns", 0, "session-cohort turns per client session, each carrying the session's prior context as a growing shared prefix (poisson + paged with preemption only)")
-	think := fs.Float64("think", 0, "think time between a session's turns in seconds (needs -turns > 1)")
 	clients := fs.Int("clients", 0, "closed-loop concurrency (closed arrivals only; default 8)")
-	requests := fs.Int("requests", 256, "requests to simulate")
-	seed := fs.Int64("seed", 1, "arrival-process seed")
-	maxBatch := fs.Int("max-batch", 0, "iteration batch cap (0 = derive from KV budget)")
-	policy := fs.String("policy", "reserve", "KV admission policy (reserve = full-context reservation, paged = vLLM-style block allocation with LIFO preemption, disagg = split prefill/decode pools with KV-transfer pricing)")
-	pageTokens := fs.Int("page-tokens", 0, "block size in KV tokens (0 = default 16; paged/disagg only)")
-	noPreempt := fs.Bool("no-preempt", false, "disable preemption: paged admission reserves full-context pages (paged only)")
-	prefillDevices := fs.Int("prefill-devices", 0, "devices backing the disagg prefill pool (0 = all; disagg only)")
-	decodeDevices := fs.Int("decode-devices", 0, "devices backing the disagg decode pool (0 = all; disagg only)")
-	transferGBps := fs.Float64("transfer-gbps", 0, "disagg KV-transfer interconnect bandwidth in GB/s (0 = default 50, Inf = free; disagg only)")
-	hostKVGB := fs.Float64("kv-host-gb", 0, "host-memory KV swap tier capacity in GB (0 = recompute-only preemption; paged with preemption only)")
-	swapGBps := fs.Float64("swap-gbps", 0, "GPU-host KV swap-link bandwidth in GB/s (0 = default 32; needs -kv-host-gb)")
-	format := fs.String("format", "text", "output format (text|csv|json)")
-	prof := addProfileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProf, err := prof.start()
+	stopProf, err := sf.parse(args)
 	if err != nil {
 		return err
 	}
 	defer stopProf()
-	switch *format {
-	case "text", "csv", "json":
-	default:
-		return fmt.Errorf("unknown format %q (text|csv|json)", *format)
-	}
-
-	cfg, err := optimus.ModelByName(*modelName)
+	spec, err := sf.spec(*arrival, *clients)
 	if err != nil {
 		return err
 	}
-	sys, err := systemWithOverride(*device, *deviceFile, *gpus, *intra, "ndr")
-	if err != nil {
-		return err
-	}
-	p, err := tech.ParsePrecision(*prec)
-	if err != nil {
-		return err
-	}
-	pol, err := optimus.ParseServePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	// Resolve the default here so the simulation and every output format
-	// report the same bandwidth (the simulator would derive the identical
-	// value from zero; nonzero flags pass through untouched).
-	if pol == optimus.DisaggregatedPolicy && *transferGBps == 0 {
-		*transferGBps = optimus.DefaultServeTransferGBps
-	}
-	if pol == optimus.PagedPolicy && *hostKVGB > 0 && *swapGBps == 0 {
-		*swapGBps = optimus.DefaultServeSwapGBps
-	}
-	spec := optimus.ServeSpec{
-		Model: cfg, System: sys, TP: *gpus, Precision: p,
-		PromptTokens: *prompt, GenTokens: *gen, PrefixTokens: *prefix,
-		Rate: *rate, Clients: *clients,
-		Requests: *requests, Seed: *seed, MaxBatch: *maxBatch,
-		Policy: pol, PageTokens: *pageTokens, NoPreempt: *noPreempt,
-		PrefillDevices: *prefillDevices, DecodeDevices: *decodeDevices,
-		TransferGBps: *transferGBps,
-		HostKVBytes:  *hostKVGB * 1e9, SwapGBps: *swapGBps,
-		Turns: *turns, Think: *think,
-	}
-	// Reject flags the chosen workload or arrival process would silently
-	// ignore — a user who sets them believes they shaped the simulated
-	// load.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := rejectPolicyFlagMisuse(set, pol); err != nil {
-		return err
-	}
-	if *mix != "" && *trace != "" {
-		return fmt.Errorf("-mix and -trace are mutually exclusive")
-	}
-	if *mix != "" || *trace != "" {
-		if set["prompt"] || set["gen"] {
-			return fmt.Errorf("-prompt and -gen describe the single-tenant workload (use the per-tenant lengths in -mix, or the trace's)")
-		}
-		if set["prefix"] {
-			return fmt.Errorf("-prefix describes the single-tenant workload (use the per-tenant prefix field in -mix, or the trace's prefix columns)")
-		}
-		spec.PromptTokens, spec.GenTokens, spec.PrefixTokens = 0, 0, 0
-	}
-	if *mix != "" {
-		if spec.Mix, err = optimus.ParseServeMix(*mix); err != nil {
-			return err
-		}
-	}
-	if *trace != "" {
-		for _, f := range []string{"arrival", "rate", "clients", "requests", "seed", "schedule", "turns", "think"} {
-			if set[f] {
-				return fmt.Errorf("-%s does not apply when replaying a trace (-trace fixes the arrival process)", f)
-			}
-		}
-		if spec.Trace, err = loadTrace(*trace); err != nil {
-			return err
-		}
-		spec.Rate, spec.Clients, spec.Requests, spec.Seed = 0, 0, 0, 0
-	} else {
-		switch *arrival {
-		case "poisson", "open":
-			spec.Arrival = optimus.PoissonArrivals
-			if set["clients"] {
-				return fmt.Errorf("-clients applies to closed-loop arrivals only (-arrival closed)")
-			}
-			if *schedule != "" {
-				if set["rate"] {
-					return fmt.Errorf("-schedule fixes the arrival-rate timeline (-rate sets the constant Poisson rate; set one)")
-				}
-				if spec.Schedule, err = optimus.ParseServeSchedule(*schedule); err != nil {
-					return err
-				}
-				spec.Rate = 0
-			}
-		case "closed", "closed-loop":
-			spec.Arrival = optimus.ClosedLoopArrivals
-			if set["rate"] {
-				return fmt.Errorf("-rate applies to Poisson arrivals only (-arrival poisson)")
-			}
-			for _, f := range []string{"schedule", "turns", "think"} {
-				if set[f] {
-					return fmt.Errorf("-%s applies to open-loop Poisson arrivals only (-arrival poisson)", f)
-				}
-			}
-			spec.Rate = 0
-			if !set["clients"] {
-				spec.Clients = defaultClosedClients
-			} else if *clients <= 0 {
-				return fmt.Errorf("-clients must be positive for closed-loop arrivals, got %d", *clients)
-			}
-		default:
-			return fmt.Errorf("unknown arrival process %q (poisson|closed)", *arrival)
-		}
-	}
-
 	res, err := optimus.Serve(spec)
 	if err != nil {
 		return err
 	}
-	return writeServe(os.Stdout, spec, res, *format)
-}
-
-// loadTrace reads and validates a -trace CSV file, shared by the serve
-// and sweep subcommands.
-func loadTrace(path string) ([]optimus.ServeTraceEvent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	trace, err := optimus.ParseServeTrace(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return trace, nil
-}
-
-// serveWorkloadLabel names the simulated workload for the text header.
-func serveWorkloadLabel(spec optimus.ServeSpec) string {
-	switch {
-	case len(spec.Trace) > 0:
-		return fmt.Sprintf("%d-event trace", len(spec.Trace))
-	case len(spec.Mix) > 0:
-		return fmt.Sprintf("%d-tenant mix %s", len(spec.Mix), optimus.FormatServeMix(spec.Mix))
-	default:
-		return fmt.Sprintf("%d+%d tokens", spec.PromptTokens, spec.GenTokens)
-	}
+	return writeServe(os.Stdout, spec, res, *sf.format)
 }
 
 // writeServe renders a serving simulation in the chosen format.
 func writeServe(w io.Writer, spec optimus.ServeSpec, res optimus.ServeResult, format string) error {
 	switch format {
 	case "text":
-		arrivals := spec.Arrival.String()
-		if len(spec.Trace) > 0 {
-			arrivals = "replayed"
-		}
-		fmt.Fprintf(w, "%s on %d x %s, %s arrivals, %d requests of %s (seed %d)\n",
-			spec.Model.Name, spec.TP, spec.System.Device.Name, arrivals,
-			res.Requests, serveWorkloadLabel(spec), spec.Seed)
+		fmt.Fprintf(w, "%s on %d x %s, %s\n",
+			spec.Model.Name, spec.TP, spec.System.Device.Name, workloadLabel(spec, res.Requests))
 		fmt.Fprintf(w, "  makespan           %s over %d iterations\n",
 			units.FormatSeconds(res.SimTime), res.Iterations)
 		fmt.Fprintf(w, "  throughput         %.2f req/s, %.0f tok/s\n",
@@ -252,18 +71,7 @@ func writeServe(w io.Writer, spec optimus.ServeSpec, res optimus.ServeResult, fo
 			fmt.Fprintf(w, "  kv-transfer        %d migrations, %s total over %g GB/s\n",
 				res.KVTransfers, units.FormatSeconds(res.TransferTimeTotal), spec.TransferGBps)
 		}
-		fmt.Fprintf(w, "  %-8s %10s %10s %10s %10s %10s\n", "SLO", "p50", "p95", "p99", "mean", "max")
-		for _, row := range []struct {
-			name string
-			p    optimus.ServePercentiles
-		}{
-			{"ttft", res.TTFT}, {"tpot", res.TPOT}, {"e2e", res.E2E}, {"queue", res.Queue},
-		} {
-			fmt.Fprintf(w, "  %-8s %10s %10s %10s %10s %10s\n", row.name,
-				units.FormatSeconds(row.p.P50), units.FormatSeconds(row.p.P95),
-				units.FormatSeconds(row.p.P99), units.FormatSeconds(row.p.Mean),
-				units.FormatSeconds(row.p.Max))
-		}
+		writeSLOTable(w, res.TTFT, res.TPOT, res.E2E, res.Queue)
 		// The per-tenant breakdown matters exactly when there is more than
 		// one tenant; the degenerate single-tenant table would repeat the
 		// aggregate rows above.
@@ -278,32 +86,9 @@ func writeServe(w io.Writer, spec optimus.ServeSpec, res optimus.ServeResult, fo
 		}
 		return nil
 	case "csv":
-		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"id", "tenant", "prompt", "gen",
-			"arrival_s", "admitted_s", "first_token_s",
-			"done_s", "queue_s", "ttft_s", "tpot_s", "e2e_s", "preemptions",
-			"kv_transfers", "kv_transfer_s"}); err != nil {
-			return err
-		}
-		g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-		for _, m := range res.PerRequest {
-			if err := cw.Write([]string{
-				strconv.Itoa(m.ID), m.Tenant,
-				strconv.Itoa(m.PromptTokens), strconv.Itoa(m.GenTokens),
-				g(m.Arrival), g(m.Admitted), g(m.FirstToken),
-				g(m.Done), g(m.Queue), g(m.TTFT), g(m.TPOT), g(m.E2E),
-				strconv.Itoa(m.Preemptions),
-				strconv.Itoa(m.KVTransfers), g(m.KVTransferTime),
-			}); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
+		return writeRequestCSV(w, res.PerRequest, nil)
 	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		return writeJSON(w, res)
 	default:
 		return fmt.Errorf("unknown format %q (text|csv|json)", format)
 	}

@@ -390,41 +390,3 @@ func TestWriteServeJSON(t *testing.T) {
 		t.Error("JSON should render the admission policy by name and round-trip it")
 	}
 }
-
-// TestCmdServeFlagErrorsNameFlags pins the policy-knob rejection parity:
-// a knob the chosen -policy would silently ignore must fail with an error
-// naming the CLI flag, not the library field ("PageTokens").
-func TestCmdServeFlagErrorsNameFlags(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		flag string
-	}{
-		{[]string{"-page-tokens", "16"}, "-page-tokens"},
-		{[]string{"-no-preempt"}, "-no-preempt"},
-		{[]string{"-policy", "disagg", "-no-preempt"}, "-no-preempt"},
-		{[]string{"-prefill-devices", "1"}, "-prefill-devices"},
-		{[]string{"-policy", "paged", "-decode-devices", "1"}, "-decode-devices"},
-		{[]string{"-policy", "paged", "-transfer-gbps", "50"}, "-transfer-gbps"},
-		{[]string{"-prefix", "64"}, "-prefix"},
-		{[]string{"-policy", "disagg", "-prefix", "64"}, "-prefix"},
-		{[]string{"-kv-host-gb", "4"}, "-kv-host-gb"},
-		{[]string{"-policy", "disagg", "-kv-host-gb", "4"}, "-kv-host-gb"},
-		{[]string{"-swap-gbps", "32"}, "-swap-gbps"},
-		{[]string{"-policy", "paged", "-swap-gbps", "32"}, "-kv-host-gb"},
-		{[]string{"-policy", "paged", "-no-preempt", "-prefix", "64"}, "-prefix"},
-		{[]string{"-policy", "paged", "-no-preempt", "-kv-host-gb", "4"}, "-kv-host-gb"},
-		{[]string{"-policy", "paged", "-prefix", "64", "-mix", "a:1:100:50"}, "-prefix"},
-		{[]string{"-schedule", "0-10:2", "-rate", "3"}, "-schedule"},
-		{[]string{"-trace", "x.csv", "-schedule", "0-10:2"}, "-schedule"},
-		{[]string{"-trace", "x.csv", "-turns", "3"}, "-turns"},
-		{[]string{"-trace", "x.csv", "-think", "1"}, "-think"},
-		{[]string{"-arrival", "closed", "-schedule", "0-10:2"}, "-schedule"},
-		{[]string{"-arrival", "closed", "-turns", "3"}, "-turns"},
-		{[]string{"-arrival", "closed", "-think", "1"}, "-think"},
-	} {
-		err := cmdServe(tc.args)
-		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Errorf("args %v: error should name %s, got: %v", tc.args, tc.flag, err)
-		}
-	}
-}

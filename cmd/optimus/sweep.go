@@ -271,6 +271,11 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return fmt.Errorf("-gpus: %w", err)
 	}
+	for _, n := range counts {
+		if n < 1 {
+			return fmt.Errorf("-gpus must be at least 1, got %d", n)
+		}
+	}
 	for _, dev := range splitList(*devices) {
 		for _, n := range counts {
 			sys, sysErr := optimus.NewSystem(dev, n, *intra, *inter)

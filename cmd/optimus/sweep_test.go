@@ -548,6 +548,8 @@ func TestCmdSweepFlagErrorsNameFlags(t *testing.T) {
 		{[]string{"-trace", "x.csv", "-think", "1"}, "-think"},
 		{[]string{"-top", "-3"}, "-top"},
 		{[]string{"-workers", "-2"}, "-workers"},
+		{[]string{"-gpus", "0"}, "-gpus"},
+		{[]string{"-gpus", "1,-2"}, "-gpus"},
 	} {
 		err := cmdSweep(append(append([]string{}, base...), tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {

@@ -61,8 +61,8 @@ type Spec struct {
 	PromptTokens int
 	GenTokens    int
 	PrefixTokens int
-	Mix          []serve.TenantLoad
-	Trace        []serve.TraceEvent
+	Mix          []workload.TenantLoad
+	Trace        []workload.TraceEvent
 
 	// Rate is the fleet-wide open-loop Poisson arrival rate in
 	// requests/sec; Requests the request count (zero means 256); Seed the
@@ -101,21 +101,43 @@ func (s Spec) withDefaults() Spec {
 		}
 		return s
 	}
-	if len(s.Mix) == 0 && s.Trace == nil {
-		pid := ""
-		if s.PrefixTokens > 0 {
-			pid = serve.DefaultTenant
-		}
-		s.Mix = []serve.TenantLoad{{
-			Tenant: serve.DefaultTenant, Share: 1,
-			PromptTokens: s.PromptTokens, GenTokens: s.GenTokens,
-			PrefixID: pid, PrefixTokens: s.PrefixTokens,
-		}}
+	if len(s.Mix) == 0 {
+		s.Mix = workload.DegenerateMix(s.PromptTokens, s.GenTokens, s.PrefixTokens)
 	}
 	if s.Requests == 0 {
 		s.Requests = 256
 	}
 	return s
+}
+
+// FleetOf splits a single-replica serve.Spec into a fleet: its workload
+// and arrival fields become the fleet-wide workload, and the capacity left
+// once they are cleared becomes the one replica descriptor, instantiated
+// replicas times behind the given router. FleetOf and serveWorkload, its
+// inverse, are the only code that knows which serve.Spec fields a fleet
+// owns.
+func FleetOf(s serve.Spec, replicas int, routing Routing) Spec {
+	f, capacity, _, _ := split(s)
+	f.Replicas = []Replica{{Spec: capacity, Count: replicas}}
+	f.Routing = routing
+	return f
+}
+
+// split moves s's workload fields (shape, mix, trace) and arrival fields
+// (process, rate, count, seed, schedule, sessions) into a replica-less
+// fleet spec, returning it with the capacity left behind and whether s
+// set any field of either group — a replica descriptor must set none.
+func split(s serve.Spec) (fleet Spec, capacity serve.Spec, hasWorkload, hasArrival bool) {
+	fleet = Spec{
+		PromptTokens: s.PromptTokens, GenTokens: s.GenTokens, PrefixTokens: s.PrefixTokens,
+		Mix: s.Mix, Trace: s.Trace,
+		Rate: s.Rate, Requests: s.Requests, Seed: s.Seed,
+		Schedule: s.Schedule, Turns: s.Turns, Think: s.Think,
+	}
+	hasWorkload = s.PromptTokens != 0 || s.GenTokens != 0 || s.PrefixTokens != 0 || len(s.Mix) > 0 || s.Trace != nil
+	hasArrival = s.Arrival != serve.Poisson || s.Rate != 0 || s.Clients != 0 || s.Requests != 0 || s.Seed != 0 ||
+		len(s.Schedule) > 0 || s.Turns != 0 || s.Think != 0
+	return fleet, Spec{}.serveWorkload(s), hasWorkload, hasArrival
 }
 
 // serveWorkload poses the fleet workload as a single-replica serve.Spec on
@@ -147,18 +169,17 @@ func (s Spec) Validate() error {
 		if r.Count < 0 {
 			return fmt.Errorf("cluster: replica %d: negative count %d", i, r.Count)
 		}
-		c := r.Spec
-		if c.PromptTokens != 0 || c.GenTokens != 0 || c.PrefixTokens != 0 || len(c.Mix) > 0 || c.Trace != nil {
+		_, _, hasWorkload, hasArrival := split(r.Spec)
+		if hasWorkload {
 			return fmt.Errorf("cluster: replica %d carries workload fields — the fleet spec owns the workload", i)
 		}
-		if c.Arrival != serve.Poisson || c.Rate != 0 || c.Clients != 0 || c.Requests != 0 || c.Seed != 0 ||
-			len(c.Schedule) > 0 || c.Turns != 0 || c.Think != 0 {
+		if hasArrival {
 			return fmt.Errorf("cluster: replica %d carries arrival fields — the fleet spec owns the arrival process", i)
 		}
 		// Compose the raw (un-defaulted) workload: serve.Validate applies
 		// its own defaulting, and folding the degenerate mix here first
 		// would trip serve's shape/mix exclusivity.
-		if err := s.serveWorkload(c).Validate(); err != nil {
+		if err := s.serveWorkload(r.Spec).Validate(); err != nil {
 			return fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
 	}
@@ -355,10 +376,10 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	// draws from — byte-identical timestamps and shapes for the same
 	// workload and seed.
 	var times []float64
-	var shapes []serve.Request
+	var shapes []workload.Request
 	if len(s.Trace) > 0 {
 		times = make([]float64, len(s.Trace))
-		shapes = make([]serve.Request, len(s.Trace))
+		shapes = make([]workload.Request, len(s.Trace))
 		for i, ev := range s.Trace {
 			times[i] = ev.Arrival
 			shapes[i] = ev.Request

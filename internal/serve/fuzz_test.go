@@ -9,6 +9,7 @@ import (
 	"optimus/internal/arch"
 	"optimus/internal/model"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // fuzzBase builds the fixed model/system the spec fuzzers mutate around.
@@ -119,15 +120,15 @@ func FuzzMixRoundTrip(f *testing.F) {
 	f.Add("padded ", 1.0, 100, 10, "x", 1.0, 100, 10)
 	f.Add("dup", 1.0, 100, 10, "dup", 2.0, 50, 5)
 	f.Fuzz(func(t *testing.T, n1 string, s1 float64, p1, g1 int, n2 string, s2 float64, p2, g2 int) {
-		mix := []TenantLoad{
+		mix := []workload.TenantLoad{
 			{Tenant: n1, Share: s1, PromptTokens: p1, GenTokens: g1},
 			{Tenant: n2, Share: s2, PromptTokens: p2, GenTokens: g2},
 		}
-		if ValidateMix(mix) != nil {
+		if workload.ValidateMix(mix) != nil {
 			return
 		}
-		rendered := FormatMix(mix)
-		back, err := ParseMix(rendered)
+		rendered := workload.FormatMix(mix)
+		back, err := workload.ParseMix(rendered)
 		if err != nil {
 			t.Fatalf("validated mix failed to round-trip %q: %v", rendered, err)
 		}
@@ -167,15 +168,15 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add("0,chat,300,10,~s1,200,1,2\n1,chat,300,10,~s1,100,1,3\n") // shrinking session prefix
 	f.Add("\xef\xbb\xbf0,chat,100,10,,0,1,1\r\n1,chat,210,10,~s1,110,1,2\r\n")
 	f.Fuzz(func(t *testing.T, raw string) {
-		trace, err := ParseTrace(strings.NewReader(raw)) // must not panic
+		trace, err := workload.ParseTrace(strings.NewReader(raw)) // must not panic
 		if err != nil {
 			return
 		}
 		var b strings.Builder
-		if err := FormatTrace(&b, trace); err != nil {
+		if err := workload.FormatTrace(&b, trace); err != nil {
 			t.Fatalf("accepted trace failed to render: %v (%+v)", err, trace)
 		}
-		back, err := ParseTrace(strings.NewReader(b.String()))
+		back, err := workload.ParseTrace(strings.NewReader(b.String()))
 		if err != nil {
 			t.Fatalf("accepted trace failed to round-trip %q: %v", b.String(), err)
 		}

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"math"
+
+	"optimus/internal/workload"
 )
 
 // Load is one replica's router-visible load snapshot, sampled at an
@@ -55,7 +57,7 @@ type Instance struct {
 // bounds exactly as Run derives them from a workload, so an instance fed a
 // workload's requests prices them byte-identically to Run on that
 // workload.
-func NewInstance(s Spec, envelope []Request) (*Instance, error) {
+func NewInstance(s Spec, envelope []workload.Request) (*Instance, error) {
 	return new(Runner).Instance(s, envelope)
 }
 
@@ -63,7 +65,7 @@ func NewInstance(s Spec, envelope []Request) (*Instance, error) {
 // NewInstance without the per-construction slab allocations. The Runner's
 // single-live-simulation contract applies: building a new Instance (or
 // calling Run) invalidates the previous one.
-func (rn *Runner) Instance(s Spec, envelope []Request) (*Instance, error) {
+func (rn *Runner) Instance(s Spec, envelope []workload.Request) (*Instance, error) {
 	if len(s.Mix) > 0 || s.Trace != nil || s.PromptTokens != 0 || s.GenTokens != 0 || s.PrefixTokens != 0 {
 		return nil, fmt.Errorf("serve: an instance spec carries capacity only — leave PromptTokens/GenTokens/PrefixTokens/Mix/Trace zero, the router pushes requests")
 	}
@@ -81,7 +83,7 @@ func (rn *Runner) Instance(s Spec, envelope []Request) (*Instance, error) {
 	env := s
 	trace := rn.traceBuf[:0]
 	for _, sh := range envelope {
-		trace = append(trace, TraceEvent{Request: sh})
+		trace = append(trace, workload.TraceEvent{Request: sh})
 	}
 	rn.traceBuf = trace
 	env.Trace = trace
@@ -105,14 +107,14 @@ func (rn *Runner) Instance(s Spec, envelope []Request) (*Instance, error) {
 // arrival joins the queue); pushing into an instance left idle before t
 // jumps the clock to t — Run's idle jump to its next pre-generated
 // arrival.
-func (in *Instance) Push(r Request, t float64) error {
+func (in *Instance) Push(r workload.Request, t float64) error {
 	if in.drained {
 		return fmt.Errorf("serve: push after drain")
 	}
 	if !(t >= in.lastT) || math.IsInf(t, 0) {
 		return fmt.Errorf("serve: push at %g not finite and non-decreasing (previous %g)", t, in.lastT)
 	}
-	if err := validateTenantName(r.Tenant); err != nil {
+	if err := workload.ValidateTenantName(r.Tenant); err != nil {
 		return fmt.Errorf("serve: push: %w", err)
 	}
 	if r.PromptTokens < 1 || r.GenTokens < 1 {
@@ -121,7 +123,7 @@ func (in *Instance) Push(r Request, t float64) error {
 	if c := r.Context(); c > in.sim.kv1 {
 		return fmt.Errorf("serve: pushed request spans %d tokens, beyond the instance envelope's largest context %d", c, in.sim.kv1)
 	}
-	if err := validatePrefix(r.PrefixID, r.PrefixTokens, r.PromptTokens); err != nil {
+	if err := workload.ValidatePrefix(r.PrefixID, r.PrefixTokens, r.PromptTokens); err != nil {
 		return fmt.Errorf("serve: push: %w", err)
 	}
 	if r.PrefixTokens > 0 {

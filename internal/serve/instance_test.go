@@ -6,20 +6,18 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"optimus/internal/workload"
 )
 
 // capacityOf strips a full workload spec down to the capacity descriptor an
 // Instance carries, and returns the arrival stream (times + shapes) the
-// router would push — generated through the same exported helpers Run uses
-// internally.
-func capacityOf(t *testing.T, s Spec) (cap Spec, times []float64, shapes []Request) {
+// router would push — generated through the same workload.ArrivalProcess
+// Run draws from.
+func capacityOf(t *testing.T, s Spec) (cap Spec, times []float64, shapes []workload.Request) {
 	t.Helper()
 	d := s.withDefaults()
-	shapes, err := MixShapes(d.Mix, d.Requests, d.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times = PoissonArrivalTimes(d.Rate, d.Requests, d.Seed)
+	times, shapes = workload.ArrivalProcess{Rate: d.Rate, Seed: d.Seed}.Generate(d.Mix, d.Requests, nil, nil)
 	cap = s
 	cap.PromptTokens, cap.GenTokens = 0, 0
 	cap.Mix, cap.Trace = nil, nil
@@ -41,7 +39,7 @@ func TestInstanceReproducesRun(t *testing.T) {
 		{"disagg", func(s *Spec) { s.Policy = Disaggregated; s.TransferGBps = 25; s.KVCapacity = 3e9 }},
 		{"mix", func(s *Spec) {
 			s.PromptTokens, s.GenTokens = 0, 0
-			s.Mix = []TenantLoad{
+			s.Mix = []workload.TenantLoad{
 				{Tenant: "chat", Share: 0.7, PromptTokens: 150, GenTokens: 100},
 				{Tenant: "batch", Share: 0.3, PromptTokens: 400, GenTokens: 50},
 			}
@@ -185,7 +183,7 @@ func TestInstanceValidation(t *testing.T) {
 	if _, err := NewInstance(capSpec, nil); err == nil || !strings.Contains(err.Error(), "envelope") {
 		t.Errorf("empty envelope: got %v", err)
 	}
-	if _, err := NewInstance(capSpec, []Request{{Tenant: "x", PromptTokens: -1, GenTokens: 1}}); err == nil {
+	if _, err := NewInstance(capSpec, []workload.Request{{Tenant: "x", PromptTokens: -1, GenTokens: 1}}); err == nil {
 		t.Error("malformed envelope shape should be rejected")
 	}
 
@@ -203,10 +201,10 @@ func TestInstanceValidation(t *testing.T) {
 	if err := in.Push(sh, math.Inf(1)); err == nil {
 		t.Error("infinite push time should be rejected")
 	}
-	if err := in.Push(Request{Tenant: "x", PromptTokens: 0, GenTokens: 1}, 6); err == nil {
+	if err := in.Push(workload.Request{Tenant: "x", PromptTokens: 0, GenTokens: 1}, 6); err == nil {
 		t.Error("zero-prompt push should be rejected")
 	}
-	if err := in.Push(Request{Tenant: "x", PromptTokens: 1 << 20, GenTokens: 1 << 20}, 6); err == nil ||
+	if err := in.Push(workload.Request{Tenant: "x", PromptTokens: 1 << 20, GenTokens: 1 << 20}, 6); err == nil ||
 		!strings.Contains(err.Error(), "envelope") {
 		t.Errorf("over-envelope context: got %v", err)
 	}

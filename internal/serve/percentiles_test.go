@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"optimus/internal/workload"
 )
 
 // nearestRankIndex computes the nearest-rank index ceil(q·n)-1 in exact
@@ -144,7 +146,8 @@ func TestSummarizePanicsOnNaN(t *testing.T) {
 // TestPoissonArrivalTimesPanicsOnBadInput: a zero, negative, NaN or
 // infinite rate would silently yield Inf/NaN timestamps that stall every
 // downstream event loop, and a negative count has no meaning — both
-// violate the documented contract and panic, exactly as Spec.Validate
+// violate the contract of the Poisson generator Run draws from
+// (workload.AppendPoissonArrivals) and panic, exactly as Spec.Validate
 // rejects them for Run.
 func TestPoissonArrivalTimesPanicsOnBadInput(t *testing.T) {
 	for _, tc := range []struct {
@@ -167,7 +170,7 @@ func TestPoissonArrivalTimesPanicsOnBadInput(t *testing.T) {
 					t.Errorf("panic = %v, wantPanic %v", r, tc.wantPanic)
 				}
 			}()
-			times := PoissonArrivalTimes(tc.rate, tc.n, 1)
+			times := workload.AppendPoissonArrivals(nil, tc.rate, tc.n, 1)
 			if len(times) != tc.n {
 				t.Errorf("got %d timestamps, want %d", len(times), tc.n)
 			}

@@ -94,14 +94,14 @@ type Spec struct {
 	// PromptTokens and GenTokens shape every request (the paper's Table 2
 	// uses 200/200). They are the degenerate single-tenant workload: when
 	// Mix and Trace are empty they become a one-entry Mix under
-	// DefaultTenant. Leave them zero when Mix or Trace is set.
+	// workload.DefaultTenant. Leave them zero when Mix or Trace is set.
 	PromptTokens int
 	GenTokens    int
 
 	// PrefixTokens marks the leading PrefixTokens prompt tokens of the
 	// degenerate single-tenant workload as a shared prefix, cached by the
-	// paged policy under a DefaultTenant-named prefix id (see
-	// Request.PrefixID). Explicit Mix/Trace workloads carry per-entry
+	// paged policy under a workload.DefaultTenant-named prefix id (see
+	// workload.Request.PrefixID). Explicit Mix/Trace workloads carry per-entry
 	// prefixes instead — leave this zero with them. Paged policy only.
 	PrefixTokens int
 
@@ -110,11 +110,11 @@ type Spec struct {
 	// prompt/generation lengths. Tenant assignment is drawn from a second
 	// seeded stream, so a single-tenant mix reproduces the spec-wide
 	// workload byte-identically.
-	Mix []TenantLoad
+	Mix []workload.TenantLoad
 	// Trace replays an explicit request timeline (arrival, tenant, prompt,
 	// gen) instead of generating one: it fixes the arrival process and the
 	// request count, so Arrival/Rate/Clients/Requests stay unset.
-	Trace []TraceEvent
+	Trace []workload.TraceEvent
 
 	// Arrival selects the request process; the zero value is Poisson.
 	Arrival Arrival
@@ -125,7 +125,7 @@ type Spec struct {
 	// "0-60:5,60-120:25" syntax). It fixes the rate, so Rate stays zero
 	// with it; a schedule that canonicalizes to a constant reproduces the
 	// plain Rate run byte-identically. Poisson arrivals only.
-	Schedule Schedule
+	Schedule workload.Schedule
 	// Clients is the closed-loop concurrency.
 	Clients int
 	// Turns expands the generated workload into multi-turn session
@@ -239,15 +239,7 @@ func (s Spec) withDefaults() Spec {
 		return s
 	}
 	if len(s.Mix) == 0 {
-		pid := ""
-		if s.PrefixTokens > 0 {
-			pid = DefaultTenant
-		}
-		s.Mix = []TenantLoad{{
-			Tenant: DefaultTenant, Share: 1,
-			PromptTokens: s.PromptTokens, GenTokens: s.GenTokens,
-			PrefixID: pid, PrefixTokens: s.PrefixTokens,
-		}}
+		s.Mix = workload.DegenerateMix(s.PromptTokens, s.GenTokens, s.PrefixTokens)
 	}
 	if s.Requests == 0 {
 		s.Requests = 256
@@ -353,7 +345,7 @@ func (s Spec) validateShape() error {
 		return err
 	}
 	if len(s.Trace) > 0 {
-		if err := ValidateTrace(s.Trace); err != nil {
+		if err := workload.ValidateTrace(s.Trace); err != nil {
 			return err
 		}
 		// A trace fixes the arrival process and the request count; fields
@@ -368,7 +360,7 @@ func (s Spec) validateShape() error {
 				s.Requests, len(s.Trace))
 		}
 	} else {
-		if err := ValidateMix(s.Mix); err != nil {
+		if err := workload.ValidateMix(s.Mix); err != nil {
 			return err
 		}
 		switch s.Arrival {
@@ -533,7 +525,7 @@ type RequestMetrics struct {
 	// ID is the arrival index (0-based).
 	ID int
 	// Tenant, PromptTokens and GenTokens echo the request's workload
-	// shape (the degenerate spec-wide workload runs under DefaultTenant).
+	// shape (the degenerate spec-wide workload runs under workload.DefaultTenant).
 	Tenant       string
 	PromptTokens int
 	GenTokens    int
@@ -803,8 +795,8 @@ type Runner struct {
 	// arrivalsBuf/shapesBuf/traceBuf are the reusable workload-generation
 	// buffers behind Run's arrival stream and Instance's envelope trace.
 	arrivalsBuf []float64
-	shapesBuf   []Request
-	traceBuf    []TraceEvent
+	shapesBuf   []workload.Request
+	traceBuf    []workload.TraceEvent
 }
 
 // NewRunner builds an empty Runner; slabs grow on first use.
@@ -848,7 +840,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		sim.arrivals, sim.shapes = rn.arrivalsBuf, rn.shapesBuf
 		sim.issued = s.Requests
 	default:
-		rn.shapesBuf = appendMixShapes(rn.shapesBuf[:0], s.Mix, s.Requests, s.Seed)
+		rn.shapesBuf = workload.AppendMixShapes(rn.shapesBuf[:0], s.Mix, s.Requests, s.Seed)
 		sim.shapes = rn.shapesBuf
 		sim.closed = true
 		clients := s.Clients

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -132,7 +131,7 @@ type simulator struct {
 	// through pushShape. target is the completion count Run's driver loop
 	// stops at; closed marks closed-loop issuing on completion.
 	arrivals []float64
-	shapes   []Request
+	shapes   []workload.Request
 	nextArr  int
 	issued   int
 	target   int
@@ -302,7 +301,7 @@ func (sim *simulator) enqueue(id int, t float64) {
 // admission then works with a slot index, never the string.
 //
 //optimus:hotpath
-func (sim *simulator) pushShape(id int, sh Request, t float64) {
+func (sim *simulator) pushShape(id int, sh workload.Request, t float64) {
 	sim.reqs = append(sim.reqs, request{
 		id: id, arrival: t,
 		tenant: sh.Tenant, prompt: sh.PromptTokens, gen: sh.GenTokens,
@@ -625,41 +624,6 @@ func (sim *simulator) perTenant(res *Result) []TenantMetrics {
 		Tenant: sim.done[0].Tenant, Requests: len(sim.done), GenTokens: gen,
 		TTFT: res.TTFT, TPOT: res.TPOT, E2E: res.E2E, Queue: res.Queue,
 	}}
-}
-
-// PoissonArrivalTimes pre-generates n open-loop Poisson arrival timestamps
-// (exponential interarrivals at rate requests/sec) from the seeded stream
-// Run itself draws — the cluster router generates the fleet-wide arrival
-// stream through this exact helper so a routed workload and a single-replica
-// Run see byte-identical timestamps.
-//
-// The rate must be positive and finite and n non-negative, exactly as
-// Spec.Validate enforces for Run; violations panic (a zero, negative, NaN
-// or infinite rate would otherwise silently yield Inf/NaN timestamps that
-// stall every downstream event loop).
-func PoissonArrivalTimes(rate float64, n int, seed int64) []float64 {
-	return appendPoissonArrivals(nil, rate, n, seed)
-}
-
-// appendPoissonArrivals is PoissonArrivalTimes into a reusable buffer —
-// the Runner pooling seam; the generation itself lives in
-// internal/workload.
-func appendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []float64 {
-	return workload.AppendPoissonArrivals(dst, rate, n, seed)
-}
-
-// MixShapes deterministically assigns each of n arrival indices its request
-// shape from a validated workload mix — the exported form of the assignment
-// Run uses, so routers splitting one generated workload across replicas
-// reproduce Run's per-index shapes exactly.
-func MixShapes(mix []TenantLoad, n int, seed int64) ([]Request, error) {
-	if err := ValidateMix(mix); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("serve: negative request count %d", n)
-	}
-	return mixShapes(mix, n, seed), nil
 }
 
 // TenantBreakdown groups completed requests by tenant, sorted by tenant

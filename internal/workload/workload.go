@@ -26,6 +26,23 @@ import (
 // spec-wide fields land in the same per-tenant bucket.
 const DefaultTenant = "default"
 
+// DegenerateMix is the one-entry mix a spec-wide prompt/generation shape
+// stands for: all traffic under DefaultTenant, its leading prefixTokens
+// prompt tokens (if any) shared under a DefaultTenant-named prefix id. The
+// serving simulator and the fleet router both fold their spec-wide shape
+// through it, so the two generate the same stream from the same fields.
+func DegenerateMix(promptTokens, genTokens, prefixTokens int) []TenantLoad {
+	pid := ""
+	if prefixTokens > 0 {
+		pid = DefaultTenant
+	}
+	return []TenantLoad{{
+		Tenant: DefaultTenant, Share: 1,
+		PromptTokens: promptTokens, GenTokens: genTokens,
+		PrefixID: pid, PrefixTokens: prefixTokens,
+	}}
+}
+
 // HeavyTailCap bounds heavy-tailed length draws: a lognormal draw is
 // clamped to HeavyTailCap times its median, so the simulator's KV
 // geometry and step-cost engine can be configured from the spec alone
