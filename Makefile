@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 examples
+.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 examples perfbench-check
 
 check: vet lint build cover-race
 
@@ -67,6 +67,13 @@ cluster-bench:
 # unbuilt.
 build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
+
+# The benchmark harness (perfbench/, its own module replacing optimus with
+# this checkout) builds against the sweep/serve/cluster API but sits
+# outside ./..., so no other gate compiles it: vet and test it here so an
+# API change that breaks the benchmark fails CI.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Run every example program end to end: they are the only callers of
 # the public optimus.Serve*/Cluster* re-exports, so a rewiring behind

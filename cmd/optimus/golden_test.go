@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the cmd/optimus golden stdout files")
+var update = flag.Bool("update", false, "rewrite the cmd/optimus golden files")
 
 // captureStdout runs f with os.Stdout redirected into a pipe and returns
 // everything f printed, so a command's real stdout rendering can be pinned
@@ -42,9 +42,10 @@ const goldenTrace = "testdata/trace.csv"
 
 // TestCLIGolden pins the serve and cluster stdout byte for byte in every
 // output format over a fixed matrix of workloads, admission policies,
-// arrival processes and routers. Regenerate with
-// `go test ./cmd/optimus -run TestCLIGolden -update` only for a change
-// that means to alter the rendered output.
+// arrival processes and routers, and the sweep's csv stdout and memo
+// cache file over a training, an inference and four serving grids.
+// Regenerate with `go test ./cmd/optimus -run TestCLIGolden -update` only
+// for a change that means to alter the rendered output or the memo keys.
 func TestCLIGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -72,23 +73,61 @@ func TestCLIGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", args, err)
 				}
-				path := filepath.Join("testdata", name+".golden")
-				if *update {
-					if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (regenerate with -update)", err)
-				}
-				if !bytes.Equal([]byte(out), want) {
-					t.Errorf("%v: stdout differs from %s\n got: %s\nwant: %s",
-						args, path, firstLine(out), firstLine(string(want)))
-				}
+				checkGolden(t, args, name, []byte(out))
 			})
 		}
+	}
+	// Sweep rows render csv only (text and json print the elapsed time)
+	// and pin each run's -cache file beside its stdout: the cache is keyed
+	// by the candidates' memo keys, so a drift in how the sweep enumerates
+	// or canonicalizes a candidate shows as a byte diff.
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"sweep-train", []string{"-models", "gpt-175b", "-gpus", "64,128", "-batches", "64,128", "-microbatches", "1,2"}},
+		{"sweep-infer", []string{"-workload", "infer", "-models", "llama2-13b,gpt-175b", "-gpus", "1,2,8", "-batches", "1,4", "-seqs", "200,1000"}},
+		{"sweep-serve", []string{"-workload", "serve", "-models", "llama2-13b", "-gpus", "2", "-rates", "2", "-policies", "reserve,paged,disagg", "-prefill-devices", "1", "-decode-devices", "1", "-prefix", "0,64", "-kv-host-gb", "0,4", "-replicas", "0,1,2", "-routings", "round-robin,least-kv", "-serve-requests", "24"}},
+		{"sweep-serve-mix", []string{"-workload", "serve", "-models", "llama2-13b", "-gpus", "1", "-mix", "chat:0.7:200:200,batch:0.3:800:100;chat:0.5:300~0.5:100,code:0.5:500:50", "-rates", "1,4", "-policies", "reserve,paged", "-replicas", "0,2", "-routings", "round-robin,least-queue", "-serve-requests", "24"}},
+		{"sweep-serve-trace", []string{"-workload", "serve", "-models", "llama2-13b", "-gpus", "1", "-trace", goldenTrace, "-policies", "reserve,paged,disagg", "-batch-caps", "0,4", "-replicas", "0,2"}},
+		{"sweep-serve-sessions", []string{"-workload", "serve", "-models", "llama2-13b", "-gpus", "1", "-schedules", "0-5:2,5-10:6;0-10:3", "-turns", "0,1,3", "-think", "2", "-policies", "reserve,paged", "-replicas", "0,2", "-serve-requests", "24"}},
+	} {
+		name := tc.name + ".csv"
+		t.Run(name, func(t *testing.T) {
+			cache := filepath.Join(t.TempDir(), "cache.json")
+			args := append(append([]string{}, tc.args...), "-format", "csv", "-cache", cache)
+			out, err := captureStdout(t, func() error { return cmdSweep(args) })
+			if err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			checkGolden(t, args, name, []byte(out))
+			cached, err := os.ReadFile(cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, args, tc.name+".cache", cached)
+		})
+	}
+}
+
+// checkGolden compares got against testdata/<name>.golden, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, args []string, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%v: output differs from %s\n got: %s\nwant: %s",
+			args, path, firstLine(string(got)), firstLine(string(want)))
 	}
 }
 

@@ -81,6 +81,9 @@ func cmdSweep(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers %d is negative (0 = GOMAXPROCS)", *workers)
 	}
+	if *maxTP < 0 {
+		return fmt.Errorf("-max-tp %d is negative (0 = node size)", *maxTP)
+	}
 
 	spec := optimus.SweepSpec{
 		Constraints: optimus.PlanConstraints{

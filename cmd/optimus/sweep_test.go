@@ -548,6 +548,7 @@ func TestCmdSweepFlagErrorsNameFlags(t *testing.T) {
 		{[]string{"-trace", "x.csv", "-think", "1"}, "-think"},
 		{[]string{"-top", "-3"}, "-top"},
 		{[]string{"-workers", "-2"}, "-workers"},
+		{[]string{"-workload", "train", "-max-tp", "-1"}, "-max-tp"},
 		{[]string{"-gpus", "0"}, "-gpus"},
 		{[]string{"-gpus", "1,-2"}, "-gpus"},
 	} {

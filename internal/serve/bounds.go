@@ -72,6 +72,13 @@ func (s Spec) bounds() shapeBounds {
 	return b
 }
 
+// MaxContext is the largest prompt+generation context a request of the
+// workload can reach — session cohorts' context-grown turns and
+// heavy-tailed draws included. It is the context the paged policies clamp
+// their block size at (CanonicalPageTokens), so callers canonicalizing a
+// page size ahead of a run resolve the one the simulator uses.
+func (s Spec) MaxContext() int { return s.withDefaults().bounds().maxContext }
+
 // uniform reports whether every request spans one common context length,
 // which lets the reservation policy keep the PR-3 multiply-by-count float
 // path (bit-identical for the degenerate workload) instead of summing.

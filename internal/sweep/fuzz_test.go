@@ -81,9 +81,11 @@ func FuzzServingPointKey(f *testing.F) {
 		rate1 float64, cap1 int, pol1 int8, page1 int, seed1 int64, reqs1, pre1, dec1 int, gbps1 float64,
 		rate2 float64, cap2 int, pol2 int8, page2 int, seed2 int64, reqs2, pre2, dec2 int, gbps2 float64) {
 		mk := func(rate float64, batchCap int, pol int8, page int, seed int64, reqs, pre, dec int, gbps float64) *Point {
-			pts := EnumerateServing(cfg, sys, canonRate(rate), batchCap, 200, 200, tech.FP16,
-				reqs, seed, serve.Policy(((int(pol)%3)+3)%3), page,
-				PoolSplit{Prefill: canonSplit(pre), Decode: canonSplit(dec)}, canonGBps(gbps), 0, 0, 0)
+			pts := servingPoints(cfg, sys, Point{
+				Seq: 200, GenTokens: 200, Rate: canonRate(rate), BatchCap: batchCap,
+				ServeRequests: reqs, ServeSeed: seed,
+				Policy: serve.Policy(((int(pol) % 3) + 3) % 3), TransferGBps: canonGBps(gbps),
+			}, page, PoolSplit{Prefill: canonSplit(pre), Decode: canonSplit(dec)})
 			if len(pts) != 1 {
 				t.Fatalf("expected one candidate, got %d", len(pts))
 			}

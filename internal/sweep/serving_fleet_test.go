@@ -106,12 +106,12 @@ func TestServingFleetMatchesCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.Run(clusterSpec(p))
+	res, err := cluster.Run(cluster.FleetOf(servingSpec(p), p.Replicas, p.Routing))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Replicas != 2 || res.Routing != cluster.LeastQueue {
-		t.Fatalf("clusterSpec lost the fleet axes: %+v", res)
+		t.Fatalf("FleetOf lost the fleet axes: %+v", res)
 	}
 	if m.Time != res.E2E.P95 || m.TTFTP95 != res.TTFT.P95 || m.TPOTP95 != res.TPOT.P95 {
 		t.Errorf("fleet metrics diverge from cluster.Run: %+v vs E2E %g TTFT %g TPOT %g",

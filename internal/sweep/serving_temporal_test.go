@@ -5,8 +5,54 @@ import (
 	"testing"
 
 	"optimus/internal/serve"
+	"optimus/internal/tech"
 	"optimus/internal/workload"
 )
+
+// TestServingSessionPageTokensMatchServe: a session candidate's page size
+// clamps at the context serve itself runs — the largest turn's grown
+// prompt, not the single-turn context — so the candidate carries the block
+// size the simulator uses and its metrics are serve.Run's of the same
+// spec.
+func TestServingSessionPageTokensMatchServe(t *testing.T) {
+	spec := servingSpec0(t)
+	spec.Systems = spec.Systems[:1]
+	spec.Rates, spec.BatchCaps = []float64{2}, nil
+	spec.Seqs, spec.GenTokens = []int{200}, []int{100}
+	spec.Policies, spec.ServePageTokens = []serve.Policy{serve.Paged}, 512
+	spec.Turns, spec.ServeRequests = []int{3}, 24
+	res, err := Serial(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("want one candidate, got %d", len(res.Rows))
+	}
+	p, m := res.Rows[0].Point, res.Rows[0].Metrics
+	// Three turns of 200+100 tokens reach a 900-token context.
+	if p.PageTokens != 512 {
+		t.Errorf("session candidate pages at %d tokens, want 512", p.PageTokens)
+	}
+	sys := spec.Systems[0]
+	want, err := serve.Run(serve.Spec{
+		Model: spec.Models[0], System: sys, TP: sys.NumDevices(), Precision: tech.FP16,
+		Policy: serve.Paged, PageTokens: 512, PromptTokens: 200, GenTokens: 100,
+		Rate: 2, Requests: 24, Seed: 1, Turns: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.PageTokens != 512 {
+		t.Fatalf("serve ran %d-token pages, want 512", want.PageTokens)
+	}
+	if m.Time != want.E2E.P95 || m.TTFTP95 != want.TTFT.P95 || m.TPOTP95 != want.TPOT.P95 ||
+		m.TokensPerSec != want.TokensPerSec || m.Footprint.KVCache != want.PeakKVBytes ||
+		m.KVUtil != want.MeanKVUtil || m.Preemptions != want.Preemptions || m.PrefixHits != want.PrefixHits {
+		t.Errorf("sweep metrics diverge from serve.Run: %+v vs E2E %g TTFT %g TPOT %g tok/s %g peak KV %g util %g preempt %d hits %d",
+			m, want.E2E.P95, want.TTFT.P95, want.TPOT.P95, want.TokensPerSec, want.PeakKVBytes,
+			want.MeanKVUtil, want.Preemptions, want.PrefixHits)
+	}
+}
 
 // TestServingTemporalValidation covers the Schedules/Turns/Think axis
 // checks.

@@ -27,6 +27,14 @@ func cell(t *testing.T) (model.Config, *arch.System) {
 	return cfg, sys
 }
 
+// servingPoints builds one serving candidate of the (cfg, sys) FP16 cell
+// through the sweep's one enumerator, with the tokens made as the grid
+// walk makes them: base carries the request shape and every axis value.
+func servingPoints(cfg model.Config, sys *arch.System, base Point, pageTokens int, split PoolSplit) []Point {
+	base.Model, base.System, base.Precision = cfg, sys, tech.FP16
+	return enumerateServing(base, pageTokens, split, modelToken(cfg), systemToken(sys), workloadToken(base.Mix, base.Trace))
+}
+
 // mixes0 is a two-value mix axis: a chat-only mix and a chat+batch blend.
 func mixes0() [][]workload.TenantLoad {
 	return [][]workload.TenantLoad{
@@ -55,6 +63,12 @@ func trace0() []workload.TraceEvent {
 		{Arrival: 0.3, Request: workload.Request{Tenant: "chat", PromptTokens: 150, GenTokens: 30}},
 		{Arrival: 1.5, Request: workload.Request{Tenant: "chat", PromptTokens: 80, GenTokens: 20}},
 	}
+}
+
+// traceBase is a reserve-full candidate replaying trace: the trace fixes
+// the request count, and leaves rate and seed zero.
+func traceBase(trace []workload.TraceEvent) Point {
+	return Point{Trace: trace, ServeRequests: len(trace), Policy: serve.ReserveFull}
 }
 
 // TestServingMixAxis: the mix is a first-class grid axis — every (rate ×
@@ -107,7 +121,7 @@ func TestServingMixKeyCoverage(t *testing.T) {
 	cfg, sys := cell(t)
 	mix := mixes0()[1]
 	mk := func(mix []workload.TenantLoad) Point {
-		pts := EnumerateServingMix(cfg, sys, mix, 1, 0, tech.FP16, 32, 1, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)
+		pts := servingPoints(cfg, sys, Point{Mix: mix, Rate: 1, ServeRequests: 32, ServeSeed: 1, Policy: serve.ReserveFull}, 0, PoolSplit{})
 		if len(pts) != 1 {
 			t.Fatalf("expected one candidate, got %d", len(pts))
 		}
@@ -146,11 +160,11 @@ func TestServingMixKeyCoverage(t *testing.T) {
 	}
 	// A mix candidate must not collide with the spec-wide candidate of the
 	// same cell, nor with a trace candidate.
-	specWide := EnumerateServing(cfg, sys, 1, 0, 200, 200, tech.FP16, 32, 1, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0, 0)[0]
+	specWide := servingPoints(cfg, sys, Point{Seq: 200, GenTokens: 200, Rate: 1, ServeRequests: 32, ServeSeed: 1, Policy: serve.ReserveFull}, 0, PoolSplit{})[0]
 	if specWide.Key() == base.Key() {
 		t.Error("mix and spec-wide candidates collide")
 	}
-	traced := EnumerateServingTrace(cfg, sys, trace0(), 0, tech.FP16, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)[0]
+	traced := servingPoints(cfg, sys, traceBase(trace0()), 0, PoolSplit{})[0]
 	if traced.Key() == base.Key() || traced.Key() == specWide.Key() {
 		t.Error("trace candidate collides with mix or spec-wide candidate")
 	}
@@ -198,10 +212,10 @@ func TestServingTraceSweep(t *testing.T) {
 	}
 
 	cfg, sys := cell(t)
-	a := EnumerateServingTrace(cfg, sys, trace0(), 0, tech.FP16, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)[0]
+	a := servingPoints(cfg, sys, traceBase(trace0()), 0, PoolSplit{})[0]
 	shifted := append([]workload.TraceEvent(nil), trace0()...)
 	shifted[1].PromptTokens += 64
-	b := EnumerateServingTrace(cfg, sys, shifted, 0, tech.FP16, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)[0]
+	b := servingPoints(cfg, sys, traceBase(shifted), 0, PoolSplit{})[0]
 	if a.Key() == b.Key() {
 		t.Error("candidates replaying different traces collide on key")
 	}

@@ -6,6 +6,11 @@
 // "determine the best parallelism mapping or training settings for an LLM
 // model on a certain hardware system").
 //
+// Every serving candidate — spec-wide shapes, mixes and traces, single
+// instances and fleets — is built by one enumerator, enumerateServing,
+// which canonicalizes its axes under serve's own rules and keys it once,
+// and is costed by one evaluator.
+//
 // The package has two execution paths over the same candidate enumeration:
 //
 //   - Serial is the golden reference: it costs every candidate one at a
@@ -71,7 +76,7 @@ func (w Workload) String() string {
 // Constraints bound the mapping enumeration of one grid cell.
 type Constraints struct {
 	// MaxTP caps the tensor-parallel degree; zero means the node size
-	// (TP and SP stay inside a node, §4.2).
+	// (TP and SP stay inside a node, §4.2), negative is rejected.
 	MaxTP int
 	// Microbatches are the candidate per-device microbatch sizes;
 	// nil means {1, 2, 4}.
@@ -330,6 +335,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("sweep: negative Workers %d (zero means GOMAXPROCS)", s.Workers)
+	}
+	if s.Constraints.MaxTP < 0 {
+		return fmt.Errorf("sweep: negative Constraints.MaxTP %d (zero means the node size)", s.Constraints.MaxTP)
 	}
 	if s.Workload != Serving {
 		if len(s.Rates) > 0 || len(s.BatchCaps) > 0 || s.ServeRequests != 0 || s.ServeSeed != 0 {
@@ -720,9 +728,8 @@ const keyFieldsCap = 96
 // buildKey assembles the canonical key without fmt: key construction runs
 // once per enumerated candidate and dominated sweep time when it used
 // reflection-based formatting. The model, system and workload tokens are
-// computed once per grid cell (or once per grid, for a shared trace) by
-// the enumerators. The builder is sized up front, so the common key costs
-// one allocation.
+// computed once per grid by forEachCell. The builder is sized up front, so
+// the common key costs one allocation.
 func (p *Point) buildKey(modelStr, sysStr, workloadStr string) string {
 	sp := 0
 	if p.Map.SP {
@@ -958,14 +965,9 @@ func enumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec 
 	return out
 }
 
-// EnumerateInference lists the candidate inference points of one grid
+// enumerateInference lists the candidate inference point of one grid
 // cell. Inference involves only TP across the devices of the system
 // (§1.3), so each cell yields at most one mapping.
-func EnumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen int, prec tech.Precision) []Point {
-	return enumerateInference(cfg, sys, batch, prompt, gen, prec, modelToken(cfg), systemToken(sys))
-}
-
-// enumerateInference is EnumerateInference with caller-made tokens.
 func enumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen int, prec tech.Precision, modelStr, sysStr string) []Point {
 	tp := sys.NumDevices()
 	if cfg.Heads%tp != 0 {
@@ -980,138 +982,95 @@ func enumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen i
 	return []Point{p}
 }
 
-// servingPolicyAxes canonicalizes one serving candidate's policy knobs
-// for a system of tp devices: the block size through
-// serve.CanonicalPageTokens and the disaggregated pool split and transfer
-// bandwidth through serve.CanonicalPoolSplit/CanonicalTransferGBps — all
-// zeroed for policies that ignore them — so equal-behavior candidates
-// always share one memo key, under exactly the rules the simulator
-// applies. ok is false when the split asks for more devices than the
-// system has: that (system, split) cell is skipped, like an indivisible
-// head count.
-func servingPolicyAxes(pol serve.Policy, pageTokens, context int, split PoolSplit, transferGBps float64, tp int, hostBytes, swapGBps float64) (pt, prefill, decode int, gbps, host, swap float64, ok bool) {
-	pt = serve.CanonicalPageTokens(pol, pageTokens, context)
-	prefill, decode = serve.CanonicalPoolSplit(pol, split.Prefill, split.Decode, tp)
-	gbps = serve.CanonicalTransferGBps(pol, transferGBps)
-	if pol != serve.Paged {
-		// Only the paged policy holds a host tier; the axis canonicalizes
-		// away for the others so they keep one memo key per cell.
-		hostBytes = 0
-	}
-	host = hostBytes
-	swap = serve.CanonicalSwapGBps(pol, hostBytes, swapGBps)
-	if pol == serve.Disaggregated && (prefill > tp || decode > tp) {
-		return 0, 0, 0, 0, 0, 0, false
-	}
-	return pt, prefill, decode, gbps, host, swap, true
-}
-
-// EnumerateServing lists the candidate serving points of one grid cell:
-// one continuous-batching simulation per (rate, batch cap, admission
-// policy, pool split), with the mapping fixed to TP = device count as in
-// inference. pageTokens, split and transferGBps are canonicalized per
-// point through the serve package's canonical rules — resolved to the
-// serve defaults for the policies that use them, zeroed for the others —
-// so equal-behavior candidates always share one memo key, under exactly
-// the rules the simulator applies.
-func EnumerateServing(cfg model.Config, sys *arch.System, rate float64, batchCap, prompt, gen int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, prefix int, hostBytes, swapGBps float64) []Point {
-	tp := sys.NumDevices()
-	if cfg.Heads%tp != 0 {
+// enumerateServing canonicalizes one serving candidate and keys it, once.
+// base carries the candidate's model, system, precision and every serving
+// axis value, plus its request shape: the spec-wide Seq/GenTokens/
+// PrefixTokens, a Mix, or a Trace. The mapping is fixed to TP = device
+// count as in inference. Knobs the policy ignores are zeroed — the prefix,
+// host tier and session cohort off the paged policy, the think time
+// without a cohort — and the page size, pool split, transfer and swap
+// bandwidths resolve through serve's Canonical* rules, the page size
+// clamped at the context serve itself runs. Equal-behavior candidates
+// thus always share one memo key, under exactly the rules the simulator
+// applies. A cell that cannot be simulated yields nil, like an
+// indivisible head count: a prefix leaving no non-shared prompt token (or
+// beside a session cohort, which owns its prefix), or a pool split asking
+// for more devices than the system has.
+func enumerateServing(base Point, pageTokens int, split PoolSplit, modelTok, sysTok, wlTok string) []Point {
+	p := base
+	tp := p.System.NumDevices()
+	if p.Model.Heads%tp != 0 {
 		return nil
 	}
-	if pol != serve.Paged {
-		// Only the paged policy caches prefixes; the axis canonicalizes
-		// away for the others so they keep one memo key per cell.
-		prefix = 0
+	p.Workload = Serving
+	p.Map = parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1}
+	if p.Policy != serve.Paged {
+		p.PrefixTokens, p.HostKVBytes, p.Turns = 0, 0, 0
 	}
-	if prefix > 0 && prefix >= prompt {
-		// A prefix must leave at least one non-shared prompt token; this
-		// (prompt, prefix) cell cannot be simulated, like an indivisible
-		// head count.
+	if p.Turns <= 1 {
+		p.Turns, p.Think = 0, 0
+	}
+	if p.PrefixTokens > 0 && (p.PrefixTokens >= p.Seq || p.Turns > 0) {
 		return nil
 	}
-	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, prompt+gen, split, transferGBps, tp, hostBytes, swapGBps)
-	if !ok {
+	p.PrefillDevices, p.DecodeDevices = serve.CanonicalPoolSplit(p.Policy, split.Prefill, split.Decode, tp)
+	if p.PrefillDevices > tp || p.DecodeDevices > tp {
 		return nil
 	}
-	p := Point{
-		Workload: Serving, Model: cfg, System: sys,
-		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-		Precision: prec, Seq: prompt, GenTokens: gen,
-		Rate: rate, BatchCap: batchCap, ServeRequests: requests, ServeSeed: seed,
-		Policy: pol, PageTokens: pt,
-		PrefillDevices: prefill, DecodeDevices: decode, TransferGBps: gbps,
-		PrefixTokens: prefix, HostKVBytes: host, SwapGBps: swap,
-	}
-	p.key = p.buildKey(modelToken(cfg), systemToken(sys), "")
+	p.TransferGBps = serve.CanonicalTransferGBps(p.Policy, p.TransferGBps)
+	p.SwapGBps = serve.CanonicalSwapGBps(p.Policy, p.HostKVBytes, p.SwapGBps)
+	p.PageTokens = serve.CanonicalPageTokens(p.Policy, pageTokens, servingSpec(p).MaxContext())
+	p.key = p.buildKey(modelTok, sysTok, wlTok)
 	return []Point{p}
 }
 
-// EnumerateServingMix lists the candidate serving points of one grid cell
-// whose requests are shaped by a multi-tenant mix: one continuous-batching
-// simulation per (rate, batch cap, policy, pool split, mix), with the page
-// size canonicalized against the mix's largest context.
-func EnumerateServingMix(cfg model.Config, sys *arch.System, mix []workload.TenantLoad, rate float64, batchCap int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, hostBytes, swapGBps float64) []Point {
-	return enumerateServingMix(cfg, sys, mix, rate, batchCap, prec, requests, seed, pol, pageTokens, split, transferGBps, hostBytes, swapGBps, workloadToken(mix, nil))
+// servingShape is one value of a serving grid's request-shape axis: the
+// shape fields of a candidate (with the request count and seed the shape
+// implies) and its workload token.
+type servingShape struct {
+	base Point
+	tok  string
 }
 
-// enumerateServingMix is EnumerateServingMix with the mix's workload token
-// precomputed, so Enumerate fingerprints each mix once per grid rather
-// than once per candidate.
-func enumerateServingMix(cfg model.Config, sys *arch.System, mix []workload.TenantLoad, rate float64, batchCap int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps, hostBytes, swapGBps float64, workloadStr string) []Point {
-	tp := sys.NumDevices()
-	if cfg.Heads%tp != 0 {
-		return nil
+// servingAxes builds a serving grid's arrival and request-shape axes. The
+// arrivals are every constant rate, then every schedule — canonicalized
+// first, so a schedule that is constant after merging enumerates as the
+// equivalent plain-rate candidate and deduplicates against it; a trace
+// fixes the arrival process, so it gets one empty entry. The shapes are
+// the trace, each mix, or prefix × seq × gen; workload tokens fingerprint
+// the full mix or trace contents, so each is hashed once per grid.
+func servingAxes(s Spec) (arrivals []Point, shapes []servingShape) {
+	if len(s.Trace) > 0 {
+		return []Point{{}}, []servingShape{{
+			Point{Trace: s.Trace, ServeRequests: len(s.Trace)}, workloadToken(nil, s.Trace),
+		}}
 	}
-	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, workload.MixContext(mix), split, transferGBps, tp, hostBytes, swapGBps)
-	if !ok {
-		return nil
+	for _, r := range s.Rates {
+		arrivals = append(arrivals, Point{Rate: r})
 	}
-	p := Point{
-		Workload: Serving, Model: cfg, System: sys,
-		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-		Precision: prec, Mix: mix,
-		Rate: rate, BatchCap: batchCap, ServeRequests: requests, ServeSeed: seed,
-		Policy: pol, PageTokens: pt,
-		PrefillDevices: prefill, DecodeDevices: decode, TransferGBps: gbps,
-		HostKVBytes: host, SwapGBps: swap,
+	for _, sch := range s.Schedules {
+		cs, cr := workload.CanonicalSchedule(sch, 0)
+		arrivals = append(arrivals, Point{Rate: cr, Schedule: cs})
 	}
-	p.key = p.buildKey(modelToken(cfg), systemToken(sys), workloadStr)
-	return []Point{p}
-}
-
-// EnumerateServingTrace lists the candidate serving points of one grid
-// cell replaying a fixed trace: one simulation per (batch cap, policy,
-// pool split). The trace fixes arrivals and request count, so Rate and
-// ServeSeed are canonicalized to zero — two candidates differing only in
-// them would simulate identically.
-func EnumerateServingTrace(cfg model.Config, sys *arch.System, trace []workload.TraceEvent, batchCap int, prec tech.Precision, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, hostBytes, swapGBps float64) []Point {
-	return enumerateServingTrace(cfg, sys, trace, batchCap, prec, pol, pageTokens, split, transferGBps, hostBytes, swapGBps, workloadToken(nil, trace))
-}
-
-// enumerateServingTrace is EnumerateServingTrace with the trace's workload
-// token precomputed — a trace can be large, and hashing it per candidate
-// would put reflection back on the enumeration path.
-func enumerateServingTrace(cfg model.Config, sys *arch.System, trace []workload.TraceEvent, batchCap int, prec tech.Precision, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps, hostBytes, swapGBps float64, workloadStr string) []Point {
-	tp := sys.NumDevices()
-	if cfg.Heads%tp != 0 {
-		return nil
+	for _, mix := range s.Mixes {
+		shapes = append(shapes, servingShape{
+			Point{Mix: mix, ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed}, workloadToken(mix, nil),
+		})
 	}
-	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, workload.TraceContext(trace), split, transferGBps, tp, hostBytes, swapGBps)
-	if !ok {
-		return nil
+	if len(s.Mixes) > 0 {
+		return arrivals, shapes
 	}
-	p := Point{
-		Workload: Serving, Model: cfg, System: sys,
-		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-		Precision: prec, Trace: trace,
-		BatchCap: batchCap, ServeRequests: len(trace),
-		Policy: pol, PageTokens: pt,
-		PrefillDevices: prefill, DecodeDevices: decode, TransferGBps: gbps,
-		HostKVBytes: host, SwapGBps: swap,
+	for _, prefix := range s.PrefixTokens {
+		for _, seq := range s.Seqs {
+			for _, gen := range s.GenTokens {
+				shapes = append(shapes, servingShape{base: Point{
+					Seq: seq, GenTokens: gen, PrefixTokens: prefix,
+					ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed,
+				}})
+			}
+		}
 	}
-	p.key = p.buildKey(modelToken(cfg), systemToken(sys), workloadStr)
-	return []Point{p}
+	return arrivals, shapes
 }
 
 // Enumerate expands the full grid into its deduplicated candidate list,
@@ -1125,18 +1084,10 @@ func Enumerate(s Spec) []Point {
 // forEachCell walks the grid cell by cell in enumeration order and hands
 // emit each cell's candidates with every key already seen dropped; empty
 // cells are skipped. Concatenating the emitted slices gives Enumerate's
-// list. A cell is copied only when it holds a duplicate: the enumerators'
-// slices are never compacted in place, since addFleet reads a cell again
-// after adding it.
+// list. A cell is copied only when it holds a duplicate, so a
+// duplicate-free cell — the common case — is emitted as built.
 func forEachCell(s Spec, emit func([]Point)) {
 	s = s.withDefaults()
-	// Workload tokens are fingerprints over the full mix/trace contents;
-	// hash each once per grid, not once per candidate.
-	traceTok := workloadToken(nil, s.Trace)
-	mixToks := make([]string, len(s.Mixes))
-	for i, mix := range s.Mixes {
-		mixToks[i] = workloadToken(mix, nil)
-	}
 	seen := make(map[string]bool)
 	add := func(points []Point) {
 		for i := range points {
@@ -1160,6 +1111,20 @@ func forEachCell(s Spec, emit func([]Point)) {
 			emit(points)
 		}
 	}
+	var arrivals []Point
+	var shapes []servingShape
+	if s.Workload == Serving {
+		arrivals, shapes = servingAxes(s)
+	}
+	// The pool split is a grid axis for disaggregated candidates only;
+	// other policies see the zero split, which canonicalizes away (no
+	// duplicate cells).
+	polSplits := func(pol serve.Policy) []PoolSplit {
+		if pol == serve.Disaggregated {
+			return s.PoolSplits
+		}
+		return []PoolSplit{{}}
+	}
 	for _, cfg := range s.Models {
 		modelTok := modelToken(cfg)
 		for _, sys := range s.Systems {
@@ -1167,131 +1132,29 @@ func forEachCell(s Spec, emit func([]Point)) {
 			for _, prec := range s.Precisions {
 				switch s.Workload {
 				case Serving:
-					// The pool split is a grid axis for disaggregated
-					// candidates only; other policies see the zero split,
-					// which canonicalizes away (no duplicate cells).
-					polSplits := func(pol serve.Policy) []PoolSplit {
-						if pol == serve.Disaggregated {
-							return s.PoolSplits
-						}
-						return []PoolSplit{{}}
-					}
-					// addFleet stamps the fleet axes onto the cell's base
-					// candidates: one copy per (fleet size, routing), with
-					// the routing axis collapsed to round-robin for
-					// single-instance and one-replica entries (every policy
-					// routes a fleet of one identically, so they would be
-					// duplicate simulations under distinct keys). The base
-					// enumerators key their points with zero fleet fields,
-					// so only fleet copies need re-keying.
-					// The arrival axis: every constant rate, then every
-					// schedule — canonicalized first, so a schedule that is
-					// constant after merging enumerates as the equivalent
-					// plain-rate candidate (rate set, schedule nil) and
-					// deduplicates against it.
-					type arrivalAxis struct {
-						rate  float64
-						sched workload.Schedule
-					}
-					arrivals := make([]arrivalAxis, 0, len(s.Rates)+len(s.Schedules))
-					for _, r := range s.Rates {
-						arrivals = append(arrivals, arrivalAxis{rate: r})
-					}
-					for _, sch := range s.Schedules {
-						cs, cr := workload.CanonicalSchedule(sch, 0)
-						arrivals = append(arrivals, arrivalAxis{rate: cr, sched: cs})
-					}
-					addFleet := func(points []Point, wlTok string) {
-						for _, reps := range s.Replicas {
-							rts := s.Routings
-							if reps <= 1 {
-								rts = []cluster.Routing{cluster.RoundRobin}
-							}
-							for _, rt := range rts {
-								if reps == 0 {
-									add(points)
-									continue
-								}
-								stamped := make([]Point, len(points))
-								for i, p := range points {
-									p.Replicas, p.Routing = reps, rt
-									p.key = p.buildKey(modelTok, sysTok, wlTok)
-									stamped[i] = p
-								}
-								add(stamped)
-							}
-						}
-					}
-					// addTemporal stamps the arrival-process axes onto the
-					// cell's base candidates before the fleet stamping:
-					// schedule, session depth and think time, with the
-					// degenerate values canonicalized away (constant
-					// schedule → nil, single-turn or non-paged → zero
-					// turns, turnless → zero think) so degenerate corners
-					// share the base candidate's memo key.
-					addTemporal := func(points []Point, wlTok string, sched workload.Schedule, turns int) {
-						for i := range points {
-							p := &points[i]
-							t := turns
-							if p.Policy != serve.Paged || t <= 1 {
-								t = 0
-							}
-							if len(sched) == 0 && t == 0 {
-								continue
-							}
-							p.Schedule, p.Turns = sched, t
-							if t > 1 {
-								p.Think = s.Think
-							}
-							p.key = p.buildKey(modelTok, sysTok, wlTok)
-						}
-						addFleet(points, wlTok)
-					}
-					switch {
-					case len(s.Trace) > 0:
-						for _, batchCap := range s.BatchCaps {
-							for _, pol := range s.Policies {
-								for _, split := range polSplits(pol) {
-									for _, host := range s.HostKVBytes {
-										addFleet(enumerateServingTrace(cfg, sys, s.Trace, batchCap, prec, pol, s.ServePageTokens, split, s.TransferGBps, host, s.SwapGBps, traceTok), traceTok)
-									}
-								}
-							}
-						}
-					case len(s.Mixes) > 0:
-						for _, ar := range arrivals {
-							for _, turns := range s.Turns {
-								for _, batchCap := range s.BatchCaps {
-									for _, pol := range s.Policies {
-										for _, split := range polSplits(pol) {
-											for _, host := range s.HostKVBytes {
-												for i, mix := range s.Mixes {
-													addTemporal(enumerateServingMix(cfg, sys, mix, ar.rate, batchCap, prec, s.ServeRequests, s.ServeSeed, pol, s.ServePageTokens, split, s.TransferGBps, host, s.SwapGBps, mixToks[i]), mixToks[i], ar.sched, turns)
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					default:
-						for _, ar := range arrivals {
-							for _, turns := range s.Turns {
-								for _, batchCap := range s.BatchCaps {
-									for _, pol := range s.Policies {
-										for _, split := range polSplits(pol) {
-											for _, host := range s.HostKVBytes {
-												for _, prefix := range s.PrefixTokens {
-													if turns > 1 && pol == serve.Paged && prefix > 0 {
-														// A session owns its shared prefix; the
-														// spec-wide prefixed shape cannot carry
-														// one too (serve rejects the combination).
-														continue
+					for _, ar := range arrivals {
+						for _, turns := range s.Turns {
+							for _, batchCap := range s.BatchCaps {
+								for _, pol := range s.Policies {
+									for _, split := range polSplits(pol) {
+										for _, host := range s.HostKVBytes {
+											for _, sh := range shapes {
+												for _, reps := range s.Replicas {
+													// Every policy routes a fleet of at
+													// most one replica identically, so
+													// its routing axis collapses.
+													routings := s.Routings
+													if reps <= 1 {
+														routings = []cluster.Routing{cluster.RoundRobin}
 													}
-													for _, seq := range s.Seqs {
-														for _, gen := range s.GenTokens {
-															addTemporal(EnumerateServing(cfg, sys, ar.rate, batchCap, seq, gen, prec, s.ServeRequests, s.ServeSeed, pol, s.ServePageTokens, split, s.TransferGBps, prefix, host, s.SwapGBps), "", ar.sched, turns)
-														}
+													for _, rt := range routings {
+														p := sh.base
+														p.Model, p.System, p.Precision = cfg, sys, prec
+														p.Rate, p.Schedule, p.Turns, p.Think = ar.Rate, ar.Schedule, turns, s.Think
+														p.BatchCap, p.Policy, p.TransferGBps = batchCap, pol, s.TransferGBps
+														p.HostKVBytes, p.SwapGBps = host, s.SwapGBps
+														p.Replicas, p.Routing = reps, rt
+														add(enumerateServing(p, s.ServePageTokens, split, modelTok, sysTok, sh.tok))
 													}
 												}
 											}
@@ -1396,116 +1259,68 @@ func evaluateInference(p Point) (Metrics, error) {
 }
 
 // servingSpec builds the simulator configuration of one serving point.
-// Enumeration already canonicalized PageTokens (zero unless paged), so
-// the fields pass straight through serve.Spec's strict validation. The
-// request shapes come from the candidate's trace, mix, or spec-wide
-// prompt/generation fields — exactly one of the three.
+// Enumeration already canonicalized the policy knobs and zeroed the shape
+// fields the candidate does not use — exactly one of its trace, mix, or
+// spec-wide prompt/generation fields is set, and a trace candidate's
+// rate, seed and arrival fields are zero with its request count the
+// trace's length — so the fields pass straight through serve.Spec's
+// strict validation.
 func servingSpec(p Point) serve.Spec {
-	sp := serve.Spec{
+	return serve.Spec{
 		Model: p.Model, System: p.System, TP: p.Map.TP, Precision: p.Precision,
 		MaxBatch: p.BatchCap, Policy: p.Policy, PageTokens: p.PageTokens,
 		PrefillDevices: p.PrefillDevices, DecodeDevices: p.DecodeDevices,
 		TransferGBps: p.TransferGBps,
 		HostKVBytes:  p.HostKVBytes, SwapGBps: p.SwapGBps,
-	}
-	switch {
-	case len(p.Trace) > 0:
-		// The trace fixes arrivals, seed and request count.
-		sp.Trace = p.Trace
-	case len(p.Mix) > 0:
-		sp.Mix = p.Mix
-		sp.Arrival, sp.Rate = serve.Poisson, p.Rate
-		sp.Requests, sp.Seed = p.ServeRequests, p.ServeSeed
-		sp.Schedule, sp.Turns, sp.Think = p.Schedule, p.Turns, p.Think
-	default:
-		sp.PromptTokens, sp.GenTokens = p.Seq, p.GenTokens
-		sp.PrefixTokens = p.PrefixTokens
-		sp.Arrival, sp.Rate = serve.Poisson, p.Rate
-		sp.Requests, sp.Seed = p.ServeRequests, p.ServeSeed
-		sp.Schedule, sp.Turns, sp.Think = p.Schedule, p.Turns, p.Think
-	}
-	return sp
-}
-
-// servingContext is the candidate workload's largest prompt+generation
-// context — the bound the footprint reporting prices KV geometry at.
-func servingContext(p Point) int {
-	switch {
-	case len(p.Trace) > 0:
-		return workload.TraceContext(p.Trace)
-	case len(p.Mix) > 0:
-		return workload.MixContext(p.Mix)
-	default:
-		return p.Seq + p.GenTokens
+		PromptTokens: p.Seq, GenTokens: p.GenTokens, PrefixTokens: p.PrefixTokens,
+		Mix: p.Mix, Trace: p.Trace,
+		Rate: p.Rate, Requests: p.ServeRequests, Seed: p.ServeSeed,
+		Schedule: p.Schedule, Turns: p.Turns, Think: p.Think,
 	}
 }
 
-// clusterSpec builds the fleet configuration of a Replicas > 0 serving
-// point: the single-instance serve spec split by internal/cluster into a
-// homogeneous fleet of Replicas copies of its capacity.
-func clusterSpec(p Point) cluster.Spec {
-	return cluster.FleetOf(servingSpec(p), p.Replicas, p.Routing)
-}
-
-// evaluateServingFleet costs a fleet candidate through internal/cluster,
-// mapping the fleet-wide result onto the same serving Metrics surface as a
-// single instance (per-device footprint from the worst replica, KV
+// evaluateServing costs a serving point: a single-instance simulation, or
+// for Replicas > 0 a homogeneous fleet of Replicas copies of its capacity
+// through internal/cluster, whose fleet-wide result maps onto the same
+// Metrics surface (per-device footprint from the worst replica, KV
 // utilization averaged across the fleet).
-func (ev *evaluator) evaluateServingFleet(p Point) (Metrics, error) {
-	res, err := ev.cluster.Run(clusterSpec(p))
-	if err != nil {
-		return Metrics{}, err
-	}
-	var peakKV, kvUtil float64
-	for _, rr := range res.PerReplica {
-		if rr.Result.PeakKVBytes > peakKV {
-			peakKV = rr.Result.PeakKVBytes
-		}
-		kvUtil += rr.Result.MeanKVUtil
-	}
-	kvUtil /= float64(len(res.PerReplica))
-	m := Metrics{
-		Time: res.E2E.P95,
-		Footprint: memfoot.InferenceBreakdown{
-			Weights: memfoot.Inference(p.Model, p.Map.TP, 1, servingContext(p), p.Precision.Bytes()).Weights,
-			KVCache: peakKV,
-		},
-		Fits:              true,
-		TTFTP95:           res.TTFT.P95,
-		TPOTP95:           res.TPOT.P95,
-		TokensPerSec:      res.TokensPerSec,
-		Preemptions:       res.Preemptions,
-		RecomputedTokens:  res.RecomputedTokens,
-		KVUtil:            kvUtil,
-		KVTransfers:       res.KVTransfers,
-		TransferTime:      res.TransferTimeTotal,
-		PrefixHits:        res.PrefixHits,
-		PrefixSavedTokens: res.PrefixSavedTokens,
-		KVSwapOuts:        res.KVSwapOuts,
-		KVSwapIns:         res.KVSwapIns,
-		SwapTime:          res.SwapTimeTotal,
-	}
-	for _, tm := range res.PerTenant {
-		m.PerTenant = append(m.PerTenant, TenantSLO{
-			Tenant: tm.Tenant, Requests: tm.Requests,
-			TTFTP95: tm.TTFT.P95, TPOTP95: tm.TPOT.P95, E2EP95: tm.E2E.P95,
-		})
-	}
-	return m, nil
-}
-
 func (ev *evaluator) evaluateServing(p Point) (Metrics, error) {
+	var res serve.Result
 	if p.Replicas > 0 {
-		return ev.evaluateServingFleet(p)
-	}
-	res, err := ev.serve.Run(servingSpec(p))
-	if err != nil {
-		return Metrics{}, err
+		fleet, err := ev.cluster.Run(cluster.FleetOf(servingSpec(p), p.Replicas, p.Routing))
+		if err != nil {
+			return Metrics{}, err
+		}
+		res = serve.Result{
+			TTFT: fleet.TTFT, TPOT: fleet.TPOT, E2E: fleet.E2E,
+			TokensPerSec:      fleet.TokensPerSec,
+			Preemptions:       fleet.Preemptions,
+			RecomputedTokens:  fleet.RecomputedTokens,
+			KVTransfers:       fleet.KVTransfers,
+			TransferTimeTotal: fleet.TransferTimeTotal,
+			PrefixHits:        fleet.PrefixHits,
+			PrefixSavedTokens: fleet.PrefixSavedTokens,
+			KVSwapOuts:        fleet.KVSwapOuts,
+			KVSwapIns:         fleet.KVSwapIns,
+			SwapTimeTotal:     fleet.SwapTimeTotal,
+			PerTenant:         fleet.PerTenant,
+		}
+		for _, rr := range fleet.PerReplica {
+			res.PeakKVBytes = math.Max(res.PeakKVBytes, rr.Result.PeakKVBytes)
+			res.MeanKVUtil += rr.Result.MeanKVUtil
+		}
+		res.MeanKVUtil /= float64(len(fleet.PerReplica))
+	} else {
+		var err error
+		if res, err = ev.serve.Run(servingSpec(p)); err != nil {
+			return Metrics{}, err
+		}
 	}
 	m := Metrics{
 		Time: res.E2E.P95,
 		Footprint: memfoot.InferenceBreakdown{
-			Weights: memfoot.Inference(p.Model, p.Map.TP, 1, servingContext(p), p.Precision.Bytes()).Weights,
+			// The weights do not depend on the context.
+			Weights: memfoot.Inference(p.Model, p.Map.TP, 0, 0, p.Precision.Bytes()).Weights,
 			KVCache: res.PeakKVBytes,
 		},
 		// Admission never over-commits the device, so a completed

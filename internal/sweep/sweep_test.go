@@ -458,6 +458,7 @@ func TestSpecValidation(t *testing.T) {
 	}{
 		{sweep.Spec{Constraints: sweep.Constraints{TopK: -3}}, "TopK"},
 		{sweep.Spec{Workers: -2}, "Workers"},
+		{sweep.Spec{Constraints: sweep.Constraints{MaxTP: -1}}, "MaxTP"},
 	} {
 		tc.spec.Models, tc.spec.Systems = []model.Config{model.GPT7B()}, []*arch.System{dgx(t, 8)}
 		if _, err := sweep.Run(context.Background(), tc.spec); err == nil || !strings.Contains(err.Error(), tc.field) {
