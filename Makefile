@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 examples perfbench-check
+.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 examples perfbench-check loc
 
 check: vet lint build cover-race
 
@@ -74,6 +74,16 @@ build-386:
 # API change that breaks the benchmark fails CI.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Code size per package directory: non-test, non-blank Go lines that are
+# not // comments — the count ROADMAP asks every PR to report (before and
+# after). Informational; it gates nothing.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u | while read -r d; do \
+		n=$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | \
+			grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'); \
+		printf '%6d  %s\n' "$$n" "$${d#./}"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'
 
 # Run every example program end to end: they are the only callers of
 # the public optimus.Serve*/Cluster* re-exports, so a rewiring behind

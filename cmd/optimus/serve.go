@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"optimus"
+	"optimus/internal/serve"
 	"optimus/internal/units"
 )
 
@@ -50,7 +51,7 @@ func writeServe(w io.Writer, spec optimus.ServeSpec, res optimus.ServeResult, fo
 		fmt.Fprintf(w, "  kv-cache           peak %s of %s budget (mean util %.0f%%)\n",
 			units.FormatBytes(res.PeakKVBytes), units.FormatBytes(res.KVCapacity),
 			100*res.MeanKVUtil)
-		if res.Policy == optimus.PagedPolicy || res.Policy == optimus.DisaggregatedPolicy {
+		if res.Policy.Reads(serve.KnobPageTokens) {
 			fmt.Fprintf(w, "  paging             %d-token pages, peak %d of %d, %d preemptions (%d tokens recomputed)\n",
 				res.PageTokens, res.PeakKVPages, res.KVPagesTotal,
 				res.Preemptions, res.RecomputedTokens)
@@ -64,7 +65,7 @@ func writeServe(w io.Writer, spec optimus.ServeSpec, res optimus.ServeResult, fo
 				res.HostPagesTotal, res.PeakHostPages, res.KVSwapOuts, res.KVSwapIns,
 				units.FormatSeconds(res.SwapTimeTotal), spec.SwapGBps)
 		}
-		if res.Policy == optimus.DisaggregatedPolicy {
+		if res.Policy.Reads(serve.KnobPoolSplit) {
 			fmt.Fprintf(w, "  pools              prefill %d dev (peak %d of %d pages), decode %d dev (peak %d of %d pages)\n",
 				res.PrefillDevices, res.PeakPrefillPages, res.PrefillPagesTotal,
 				res.DecodeDevices, res.PeakDecodePages, res.DecodePagesTotal)

@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"optimus"
+	"optimus/internal/serve"
 	"optimus/internal/tech"
 	"optimus/internal/units"
 )
@@ -127,16 +128,6 @@ func (f *servingFlags) spec(arrival string, clients int) (optimus.ServeSpec, err
 	if err != nil {
 		return spec, err
 	}
-	// Resolve the defaults here so the simulation and every output format
-	// report the same bandwidths (the simulator would derive the identical
-	// values from zero; nonzero flags pass through untouched).
-	transferGBps, swapGBps := *f.transferGBps, *f.swapGBps
-	if pol == optimus.DisaggregatedPolicy && transferGBps == 0 {
-		transferGBps = optimus.DefaultServeTransferGBps
-	}
-	if pol == optimus.PagedPolicy && *f.hostKVGB > 0 && swapGBps == 0 {
-		swapGBps = optimus.DefaultServeSwapGBps
-	}
 	spec = optimus.ServeSpec{
 		Model: cfg, System: sys, TP: *f.gpus, Precision: p,
 		PromptTokens: *f.prompt, GenTokens: *f.gen, PrefixTokens: *f.prefix,
@@ -144,14 +135,11 @@ func (f *servingFlags) spec(arrival string, clients int) (optimus.ServeSpec, err
 		Requests: *f.requests, Seed: *f.seed, MaxBatch: *f.maxBatch,
 		Policy: pol, PageTokens: *f.pageTokens, NoPreempt: *f.noPreempt,
 		PrefillDevices: *f.prefillDevices, DecodeDevices: *f.decodeDevices,
-		TransferGBps: transferGBps,
-		HostKVBytes:  *f.hostKVGB * 1e9, SwapGBps: swapGBps,
+		TransferGBps: *f.transferGBps,
+		HostKVBytes:  *f.hostKVGB * 1e9, SwapGBps: *f.swapGBps,
 		Turns: *f.turns, Think: *f.think,
 	}
 	set := f.set
-	if err := rejectPolicyFlagMisuse(set, pol); err != nil {
-		return spec, err
-	}
 	mix, trace := *f.mix, *f.trace
 	if mix != "" && trace != "" {
 		return spec, fmt.Errorf("-mix and -trace are mutually exclusive")
@@ -180,80 +168,97 @@ func (f *servingFlags) spec(arrival string, clients int) (optimus.ServeSpec, err
 			return spec, err
 		}
 		spec.Rate, spec.Clients, spec.Requests, spec.Seed = 0, 0, 0, 0
-		return spec, nil
-	}
-	switch arrival {
-	case "poisson", "open":
-		spec.Arrival = optimus.PoissonArrivals
-		if set["clients"] {
-			return spec, fmt.Errorf("-clients applies to closed-loop arrivals only (-arrival closed)")
-		}
-		if *f.schedule != "" {
-			if set["rate"] {
-				return spec, fmt.Errorf("-schedule fixes the arrival-rate timeline (-rate sets the constant Poisson rate; set one)")
+	} else {
+		switch arrival {
+		case "poisson", "open":
+			spec.Arrival = optimus.PoissonArrivals
+			if set["clients"] {
+				return spec, fmt.Errorf("-clients applies to closed-loop arrivals only (-arrival closed)")
 			}
-			if spec.Schedule, err = optimus.ParseServeSchedule(*f.schedule); err != nil {
-				return spec, err
+			if *f.schedule != "" {
+				if set["rate"] {
+					return spec, fmt.Errorf("-schedule fixes the arrival-rate timeline (-rate sets the constant Poisson rate; set one)")
+				}
+				if spec.Schedule, err = optimus.ParseServeSchedule(*f.schedule); err != nil {
+					return spec, err
+				}
+				spec.Rate = 0
+			}
+		case "closed", "closed-loop":
+			spec.Arrival = optimus.ClosedLoopArrivals
+			if set["rate"] {
+				return spec, fmt.Errorf("-rate applies to Poisson arrivals only (-arrival poisson)")
+			}
+			for _, fl := range []string{"schedule", "turns", "think"} {
+				if set[fl] {
+					return spec, fmt.Errorf("-%s applies to open-loop Poisson arrivals only (-arrival poisson)", fl)
+				}
 			}
 			spec.Rate = 0
-		}
-	case "closed", "closed-loop":
-		spec.Arrival = optimus.ClosedLoopArrivals
-		if set["rate"] {
-			return spec, fmt.Errorf("-rate applies to Poisson arrivals only (-arrival poisson)")
-		}
-		for _, fl := range []string{"schedule", "turns", "think"} {
-			if set[fl] {
-				return spec, fmt.Errorf("-%s applies to open-loop Poisson arrivals only (-arrival poisson)", fl)
+			if !set["clients"] {
+				spec.Clients = defaultClosedClients
+			} else if clients <= 0 {
+				return spec, fmt.Errorf("-clients must be positive for closed-loop arrivals, got %d", clients)
 			}
+		default:
+			return spec, fmt.Errorf("unknown arrival process %q (poisson|closed)", arrival)
 		}
-		spec.Rate = 0
-		if !set["clients"] {
-			spec.Clients = defaultClosedClients
-		} else if clients <= 0 {
-			return spec, fmt.Errorf("-clients must be positive for closed-loop arrivals, got %d", clients)
-		}
-	default:
-		return spec, fmt.Errorf("unknown arrival process %q (poisson|closed)", arrival)
 	}
+	if err := knobFlagError(set, spec.CheckKnobs, "-%s applies to the %s only (-policy "+pol.String()+" ignores it)", "and"); err != nil {
+		return spec, err
+	}
+	// Resolve the defaults here so the simulation and every output format
+	// report the same bandwidths (the simulator would derive the identical
+	// values from zero; nonzero flags pass through untouched).
+	spec.TransferGBps = serve.CanonicalTransferGBps(pol, spec.TransferGBps)
+	spec.SwapGBps = serve.CanonicalSwapGBps(pol, spec.HostKVBytes, spec.SwapGBps)
 	return spec, nil
 }
 
-// rejectPolicyFlagMisuse rejects admission-policy knobs the chosen policy
-// would silently ignore, naming the flags. Shared by the serve and cluster
-// subcommands (sweep applies the same rules axis-adapted) so all reject
-// the same combinations with the same kind of message.
-func rejectPolicyFlagMisuse(set map[string]bool, pol optimus.ServePolicy) error {
-	paged := pol == optimus.PagedPolicy || pol == optimus.DisaggregatedPolicy
-	if set["page-tokens"] && !paged {
-		return fmt.Errorf("-page-tokens applies to the paged and disagg policies only (-policy %v ignores it)", pol)
-	}
-	if set["no-preempt"] && pol != optimus.PagedPolicy {
-		return fmt.Errorf("-no-preempt applies to the paged policy only (-policy %v ignores it)", pol)
-	}
-	if pol != optimus.DisaggregatedPolicy {
-		for _, f := range []string{"prefill-devices", "decode-devices", "transfer-gbps"} {
-			if set[f] {
-				return fmt.Errorf("-%s applies to the disagg policy only (-policy %v ignores it)", f, pol)
-			}
-		}
-	}
-	// The prefix cache and host KV tier live on the paged policy's
-	// preemption machinery: any other policy (and paged with -no-preempt)
-	// has no eviction to cache across or swap out from.
-	for _, f := range []string{"prefix", "kv-host-gb", "swap-gbps"} {
-		if !set[f] {
+// knobFlags maps every policy-scoped serving flag of serve, cluster and
+// sweep to the serve knob it sets. It holds names only: which policy reads
+// a knob, and what a knob needs, is serve's knob table. on qualifies the
+// flag in a dependency hint where a non-zero value does not set its knob.
+var knobFlags = []struct {
+	flag string
+	knob serve.Knob
+	on   string
+}{
+	{"page-tokens", serve.KnobPageTokens, ""},
+	{"no-preempt", serve.KnobNoPreempt, ""},
+	{"prefill-devices", serve.KnobPoolSplit, ""},
+	{"decode-devices", serve.KnobPoolSplit, ""},
+	{"transfer-gbps", serve.KnobTransferGBps, ""},
+	{"prefix", serve.KnobPrefix, ""},
+	{"turns", serve.KnobSessions, " above 1"},
+	{"kv-host-gb", serve.KnobHostKV, ""},
+	{"swap-gbps", serve.KnobSwapGBps, ""},
+	{"think", serve.KnobThink, ""},
+}
+
+// knobFlagError renders the knob table's verdict (check) in flag names:
+// the first given flag that sets the rejected knob is named, and unread is
+// the command's "no policy reads it" format over that flag and the knob's
+// readers joined by conj. A knob no given flag sets — a per-entry -mix or
+// -trace prefix — is left to the library's field-named error.
+func knobFlagError(set map[string]bool, check func() (serve.Knob, serve.KnobFault), unread, conj string) error {
+	k, fault := check()
+	for _, kf := range knobFlags {
+		if fault == serve.KnobOK || kf.knob != k || !set[kf.flag] {
 			continue
 		}
-		if pol != optimus.PagedPolicy {
-			return fmt.Errorf("-%s applies to the paged policy only (-policy %v ignores it)", f, pol)
+		switch fault {
+		case serve.KnobUnread:
+			return fmt.Errorf(unread, kf.flag, k.Readers(conj))
+		case serve.KnobNeedsPreemption:
+			return fmt.Errorf("-%s needs preemption (-no-preempt reserves full context and never evicts)", kf.flag)
 		}
-		if set["no-preempt"] {
-			return fmt.Errorf("-%s needs preemption (-no-preempt reserves full context and never evicts)", f)
+		dep, purpose, _ := k.Requires()
+		for _, df := range knobFlags {
+			if df.knob == dep {
+				return fmt.Errorf("-%s %s (set -%s%s)", kf.flag, purpose, df.flag, df.on)
+			}
 		}
-	}
-	if set["swap-gbps"] && !set["kv-host-gb"] {
-		return fmt.Errorf("-swap-gbps prices the host KV tier's swap link (set -kv-host-gb)")
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"optimus/internal/serve"
+)
 
 // servingFlagErrors is the one flag-rejection table of the shared serve /
 // cluster front end: every row is a single fault, and the error must be
@@ -33,6 +37,12 @@ var servingFlagErrors = []struct {
 	{[]string{"-trace", "x.csv", "-schedule", "0-10:2"}, "", "-schedule does not apply when replaying a trace (-trace fixes the arrival process)"},
 	{[]string{"-trace", "x.csv", "-turns", "3"}, "", "-turns does not apply when replaying a trace (-trace fixes the arrival process)"},
 	{[]string{"-trace", "x.csv", "-think", "1"}, "", "-think does not apply when replaying a trace (-trace fixes the arrival process)"},
+	{[]string{"-turns", "3"}, "", "-turns applies to the paged policy only (-policy reserve-full ignores it)"},
+	{[]string{"-policy", "disagg", "-turns", "3"}, "", "-turns applies to the paged policy only (-policy disagg ignores it)"},
+	{[]string{"-policy", "paged", "-no-preempt", "-turns", "3"}, "", "-turns needs preemption (-no-preempt reserves full context and never evicts)"},
+	{[]string{"-think", "1"}, "", "-think is the pause between session turns (set -turns above 1)"},
+	{[]string{"-policy", "paged", "-turns", "1", "-think", "1"}, "", "-think is the pause between session turns (set -turns above 1)"},
+	{[]string{"-policy", "paged", "-kv-host-gb", "0", "-swap-gbps", "32"}, "", "-swap-gbps prices the host KV tier's swap link (set -kv-host-gb)"},
 	{[]string{"-gpus", "0"}, "", "-gpus must be at least 1, got 0"},
 	{[]string{"-gpus", "-2"}, "", "-gpus must be at least 1, got -2"},
 	{[]string{"-arrival", "closed", "-schedule", "0-10:2"}, "serve", "-schedule applies to open-loop Poisson arrivals only (-arrival poisson)"},
@@ -67,4 +77,19 @@ func TestCmdServeFlagErrorsNameFlags(t *testing.T) {
 
 func TestCmdClusterFlagErrorsNameFlags(t *testing.T) {
 	checkServingFlagErrors(t, "cluster", cmdCluster)
+}
+
+// TestKnobFlagsNameEveryKnob ties the CLI's flag→knob map to serve's knob
+// table: every knob has a flag that names it in errors, so a knob added to
+// the table cannot reach the CLI unnamed.
+func TestKnobFlagsNameEveryKnob(t *testing.T) {
+	for k := serve.Knob(0); k < serve.NumKnobs; k++ {
+		named := false
+		for _, kf := range knobFlags {
+			named = named || kf.knob == k
+		}
+		if !named {
+			t.Errorf("knob %d has no flag in knobFlags", k)
+		}
+	}
 }

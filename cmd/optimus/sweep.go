@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"optimus"
+	"optimus/internal/serve"
 	"optimus/internal/tech"
 	"optimus/internal/units"
 )
@@ -109,27 +110,15 @@ func cmdSweep(args []string) error {
 			return fmt.Errorf("-max-tp, -microbatches and -recomputes apply to training sweeps only")
 		}
 	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if spec.Workload != optimus.ServingSweep {
-		if *rates != "" || *caps != "" || *serveReqs != 0 || *serveSeed != 0 {
-			return fmt.Errorf("-rates, -batch-caps, -serve-requests and -serve-seed apply to serving sweeps only")
-		}
-		if *schedules != "" || *turnsFlag != "" || *think != 0 {
-			return fmt.Errorf("-schedules, -turns and -think apply to serving sweeps only")
-		}
-		if *policies != "" || *pageTokens != 0 {
-			return fmt.Errorf("-policies and -page-tokens apply to serving sweeps only")
-		}
-		if *prefillDevices != "" || *decodeDevices != "" || *transferGBps != 0 {
-			return fmt.Errorf("-prefill-devices, -decode-devices and -transfer-gbps apply to serving sweeps only")
-		}
-		if *prefixesFlag != "" || *hostKVGBs != "" || *swapGBps != 0 {
-			return fmt.Errorf("-prefix, -kv-host-gb and -swap-gbps apply to serving sweeps only")
-		}
-		if *mixes != "" || *trace != "" {
-			return fmt.Errorf("-mix and -trace apply to serving sweeps only")
-		}
-		if *replicasFlag != "" || *routings != "" {
-			return fmt.Errorf("-replicas and -routings apply to serving sweeps only")
+		for _, f := range []string{"rates", "schedules", "turns", "think", "batch-caps", "mix", "trace",
+			"serve-requests", "serve-seed", "policies", "page-tokens", "prefill-devices", "decode-devices",
+			"transfer-gbps", "prefix", "kv-host-gb", "swap-gbps", "replicas", "routings"} {
+			if set[f] {
+				return fmt.Errorf("-%s applies to serving sweeps only", f)
+			}
 		}
 	} else if *batches != "" {
 		return fmt.Errorf("-batches does not apply to serving sweeps (use -batch-caps)")
@@ -137,8 +126,6 @@ func cmdSweep(args []string) error {
 	// Reject flag combinations no candidate on the grid would read, naming
 	// the flags — the same parity surface as optimus serve, ahead of the
 	// library's field-named validation.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *mixes != "" && *trace != "" {
 		return fmt.Errorf("-mix and -trace are mutually exclusive")
 	}
@@ -181,37 +168,6 @@ func cmdSweep(args []string) error {
 			return polErr
 		}
 		spec.Policies = append(spec.Policies, pol)
-	}
-	// Policy knobs only some -policies entries read: reject the combos
-	// where every listed policy would silently ignore the knob.
-	hasPaged, hasStrictPaged, hasDisagg := false, false, false
-	for _, pol := range spec.Policies {
-		hasPaged = hasPaged || pol == optimus.PagedPolicy || pol == optimus.DisaggregatedPolicy
-		hasStrictPaged = hasStrictPaged || pol == optimus.PagedPolicy
-		hasDisagg = hasDisagg || pol == optimus.DisaggregatedPolicy
-	}
-	if set["page-tokens"] && !hasPaged {
-		return fmt.Errorf("-page-tokens needs a paged or disagg entry in -policies (every listed policy ignores it)")
-	}
-	if !hasDisagg {
-		for _, f := range []string{"prefill-devices", "decode-devices", "transfer-gbps"} {
-			if set[f] {
-				return fmt.Errorf("-%s needs a disagg entry in -policies (every listed policy ignores it)", f)
-			}
-		}
-	}
-	// The prefix cache and host KV tier live on the paged policy's
-	// preemption machinery — disagg preempts against its decode pool but
-	// carries neither.
-	if !hasStrictPaged {
-		for _, f := range []string{"prefix", "kv-host-gb", "swap-gbps"} {
-			if set[f] {
-				return fmt.Errorf("-%s needs a paged entry in -policies (every listed policy ignores it)", f)
-			}
-		}
-	}
-	if set["swap-gbps"] && !set["kv-host-gb"] {
-		return fmt.Errorf("-swap-gbps prices the host KV tier's swap link (set -kv-host-gb)")
 	}
 	spec.ServePageTokens = *pageTokens
 	// The pool-split axis zips -prefill-devices with -decode-devices:
@@ -337,6 +293,10 @@ func cmdSweep(args []string) error {
 			return recErr
 		}
 		spec.Constraints.Recomputes = append(spec.Constraints.Recomputes, rec)
+	}
+	// Knob flags no listed policy reads, in serve's knob table.
+	if err := knobFlagError(set, spec.CheckKnobs, "-%s needs a %s in -policies (every listed policy ignores it)", "or"); err != nil {
+		return err
 	}
 
 	var res optimus.SweepResult
@@ -521,19 +481,20 @@ func servingMappingToken(p optimus.SweepPoint) string {
 	if p.BatchCap > 0 {
 		cap = strconv.Itoa(p.BatchCap)
 	}
+	// Each knob renders under the policies that read it; enumeration has
+	// zeroed the prefix and host tier wherever they go unread.
 	pol := p.Policy.String()
-	switch p.Policy {
-	case optimus.PagedPolicy:
-		pol = fmt.Sprintf("paged/%d", p.PageTokens)
-		if p.PrefixTokens > 0 {
-			pol += fmt.Sprintf(",pfx=%d", p.PrefixTokens)
-		}
-		if p.HostKVBytes > 0 {
-			pol += fmt.Sprintf(",host=%gGB,swap=%gGB/s", p.HostKVBytes/1e9, p.SwapGBps)
-		}
-	case optimus.DisaggregatedPolicy:
-		pol = fmt.Sprintf("disagg/%d,split=%d+%d,xfer=%gGB/s",
-			p.PageTokens, p.PrefillDevices, p.DecodeDevices, p.TransferGBps)
+	if p.Policy.Reads(serve.KnobPageTokens) {
+		pol += "/" + strconv.Itoa(p.PageTokens)
+	}
+	if p.Policy.Reads(serve.KnobPoolSplit) {
+		pol += fmt.Sprintf(",split=%d+%d,xfer=%gGB/s", p.PrefillDevices, p.DecodeDevices, p.TransferGBps)
+	}
+	if p.PrefixTokens > 0 {
+		pol += fmt.Sprintf(",pfx=%d", p.PrefixTokens)
+	}
+	if p.HostKVBytes > 0 {
+		pol += fmt.Sprintf(",host=%gGB,swap=%gGB/s", p.HostKVBytes/1e9, p.SwapGBps)
 	}
 	arr := fmt.Sprintf("rate=%g/s", p.Rate)
 	if len(p.Schedule) > 0 {
@@ -604,7 +565,11 @@ func writeSweep(w io.Writer, res optimus.SweepResult, workload optimus.SweepWork
 		fmt.Fprintf(w, "sweep: %s\n", res.Stats)
 		if len(recs) == 0 {
 			hint := "check batch divisibility and device counts, or try -allow-overflow"
-			if workload != optimus.TrainingSweep {
+			switch {
+			case res.Stats.Errors > 0:
+				// The cost model rejected candidates: the grid was not empty.
+				hint = fmt.Sprintf("%d of %d candidates errored in evaluation", res.Stats.Errors, res.Stats.Enumerated)
+			case workload != optimus.TrainingSweep:
 				hint = "inference and serving use TP = device count, so the model's head count must be divisible by -gpus"
 			}
 			fmt.Fprintf(w, "  no feasible candidates — %s\n", hint)

@@ -370,6 +370,27 @@ func TestCmdSweepServeDefaultFlags(t *testing.T) {
 	}
 }
 
+// TestWriteSweepEmptyHint pins the text hint for an empty ranking: when
+// candidates errored in evaluation it counts them instead of blaming the
+// head-count divisibility, which an errored grid has already passed.
+func TestWriteSweepEmptyHint(t *testing.T) {
+	for _, tc := range []struct {
+		stats optimus.SweepStats
+		want  string
+	}{
+		{optimus.SweepStats{Enumerated: 3, Errors: 2, Pruned: 1}, "no feasible candidates — 2 of 3 candidates errored in evaluation"},
+		{optimus.SweepStats{}, "head count must be divisible by -gpus"},
+	} {
+		var b strings.Builder
+		if err := writeSweep(&b, optimus.SweepResult{Stats: tc.stats}, optimus.ServingSweep, "text"); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), tc.want) {
+			t.Errorf("stats %+v: hint should say %q, got:\n%s", tc.stats, tc.want, b.String())
+		}
+	}
+}
+
 // TestCmdSweepTrace drives the -trace flag end to end through a file.
 func TestCmdSweepTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.csv")
@@ -546,6 +567,11 @@ func TestCmdSweepFlagErrorsNameFlags(t *testing.T) {
 		{[]string{"-trace", "x.csv", "-schedules", "0-10:2"}, "-schedules"},
 		{[]string{"-trace", "x.csv", "-turns", "3"}, "-turns"},
 		{[]string{"-trace", "x.csv", "-think", "1"}, "-think"},
+		{[]string{"-turns", "3"}, "-turns"},
+		{[]string{"-policies", "reserve,disagg", "-turns", "0,3"}, "-turns"},
+		{[]string{"-think", "1"}, "-turns"},
+		{[]string{"-policies", "paged", "-turns", "0,1", "-think", "1"}, "-turns"},
+		{[]string{"-policies", "paged", "-kv-host-gb", "0", "-swap-gbps", "32"}, "-kv-host-gb"},
 		{[]string{"-top", "-3"}, "-top"},
 		{[]string{"-workers", "-2"}, "-workers"},
 		{[]string{"-workload", "train", "-max-tp", "-1"}, "-max-tp"},

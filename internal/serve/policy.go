@@ -95,13 +95,13 @@ const DefaultPageTokens = 16
 
 // CanonicalPageTokens resolves the effective paged block size for a
 // (policy, requested size, full context) triple: zero unless the policy
-// pages its KV (Paged or Disaggregated — or the context is empty), the
-// default when unset, clamped to the context. It is the single source of
-// the rule — the simulator's policy construction and the sweep's
-// candidate enumeration both call it, so memo keys canonicalize under
-// exactly the block size the simulator runs.
+// reads KnobPageTokens (or the context is empty), the default when unset,
+// clamped to the context. It is the single source of the rule — the
+// simulator's policy construction and the sweep's candidate enumeration
+// both call it, so memo keys canonicalize under exactly the block size the
+// simulator runs.
 func CanonicalPageTokens(pol Policy, pageTokens, context int) int {
-	if (pol != Paged && pol != Disaggregated) || context < 1 {
+	if !pol.Reads(KnobPageTokens) || context < 1 {
 		return 0
 	}
 	if pageTokens <= 0 {
@@ -120,12 +120,12 @@ const DefaultTransferGBps = 50.0
 
 // CanonicalPoolSplit resolves the effective disaggregated pool split for
 // (policy, requested device counts, TP devices): zeros unless the policy
-// is Disaggregated; an unset (non-positive) count defaults to tp — each
+// reads KnobPoolSplit; an unset (non-positive) count defaults to tp — each
 // pool then spans every device, the co-located split whose block
 // accounting coincides with Paged's. Shared by the simulator's policy
 // construction and the sweep's memo-key canonicalization.
 func CanonicalPoolSplit(pol Policy, prefill, decode, tp int) (int, int) {
-	if pol != Disaggregated || tp < 1 {
+	if !pol.Reads(KnobPoolSplit) || tp < 1 {
 		return 0, 0
 	}
 	if prefill <= 0 {
@@ -138,11 +138,11 @@ func CanonicalPoolSplit(pol Policy, prefill, decode, tp int) (int, int) {
 }
 
 // CanonicalTransferGBps resolves the effective KV-transfer bandwidth:
-// zero unless the policy is Disaggregated, the default when unset.
+// zero unless the policy reads KnobTransferGBps, the default when unset.
 // math.Inf(1) is a legal value — a free transfer, the degenerate
 // co-located interconnect.
 func CanonicalTransferGBps(pol Policy, gbps float64) float64 {
-	if pol != Disaggregated {
+	if !pol.Reads(KnobTransferGBps) {
 		return 0
 	}
 	if gbps == 0 {
@@ -157,12 +157,13 @@ func CanonicalTransferGBps(pol Policy, gbps float64) float64 {
 const DefaultSwapGBps = 32.0
 
 // CanonicalSwapGBps resolves the effective host-tier swap bandwidth: zero
-// unless the paged policy runs a host tier (HostKVBytes set), the default
-// when unset. math.Inf(1) is a legal value — a free swap. Shared by the
-// simulator's policy construction and the sweep's memo-key
-// canonicalization, the same single-source rule as CanonicalTransferGBps.
+// unless the policy reads KnobSwapGBps and runs the host tier it refines
+// (HostKVBytes set), the default when unset. math.Inf(1) is a legal value
+// — a free swap. Shared by the simulator's policy construction and the
+// sweep's memo-key canonicalization, the same single-source rule as
+// CanonicalTransferGBps.
 func CanonicalSwapGBps(pol Policy, hostBytes, gbps float64) float64 {
-	if pol != Paged || !(hostBytes > 0) {
+	if !pol.Reads(KnobSwapGBps) || !(hostBytes > 0) {
 		return 0
 	}
 	if gbps == 0 {

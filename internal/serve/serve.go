@@ -315,26 +315,13 @@ func (s Spec) validateExclusive() error {
 	return nil
 }
 
-// prefixed reports whether any workload shape carries a non-empty shared
-// prefix. Run on the defaulted spec (the spec-wide PrefixTokens has been
-// folded into the degenerate mix by then). Session cohorts count: their
-// mix entries are prefix-free, but every generated turn past the first
-// carries the session's accumulated context as a shared prefix.
+// prefixed reports whether any request can carry a shared prefix: its
+// own — the spec-wide PrefixTokens (folded into the degenerate mix by
+// withDefaults), a mix entry's or a trace event's — or, under a session
+// cohort, the session's accumulated context, which every generated turn
+// past the first shares.
 func (s Spec) prefixed() bool {
-	if s.Turns > 1 {
-		return true
-	}
-	for _, t := range s.Mix {
-		if t.PrefixTokens > 0 {
-			return true
-		}
-	}
-	for _, ev := range s.Trace {
-		if ev.PrefixTokens > 0 {
-			return true
-		}
-	}
-	return false
+	return s.Turns > 1 || s.PrefixTokens > 0 || workload.Prefixed(s.Trace, s.Mix)
 }
 
 // validateShape checks everything that does not need the KV geometry —
@@ -403,31 +390,17 @@ func (s Spec) validateShape() error {
 		default:
 			return fmt.Errorf("serve: unknown arrival process %v", s.Arrival)
 		}
-		if s.Turns < 0 {
-			return fmt.Errorf("serve: negative session turns %d", s.Turns)
-		}
 		if s.Turns > 1 {
-			// Sessions grow a shared prefix turn over turn; only the paged
-			// policy's refcounted block registry can cache and grow it.
-			if s.Policy != Paged || s.NoPreempt {
-				return fmt.Errorf("serve: session cohorts grow a shared prefix — they need the paged policy with preemption enabled (Policy: Paged, NoPreempt unset)")
-			}
-			for _, t := range s.Mix {
-				if t.PrefixID != "" || t.PrefixTokens != 0 {
-					return fmt.Errorf("serve: session cohorts own the shared prefix — drop per-entry prefixes from the mix (tenant %q carries one)", t.Tenant)
-				}
-			}
-		}
-		if s.Think != 0 {
-			if s.Turns <= 1 {
-				return fmt.Errorf("serve: Think is the pause between session turns — set Turns > 1 with it, got Think %g", s.Think)
-			}
-			if !(s.Think >= 0) || math.IsInf(s.Think, 0) {
-				return fmt.Errorf("serve: think time %g not finite and non-negative", s.Think)
+			if err := workload.ValidateSessionMix(s.Mix); err != nil {
+				return err
 			}
 		}
 	}
 	switch {
+	case s.Turns < 0:
+		return fmt.Errorf("serve: negative session turns %d", s.Turns)
+	case !(s.Think >= 0) || math.IsInf(s.Think, 0):
+		return fmt.Errorf("serve: think time %g not finite and non-negative", s.Think)
 	case s.Requests < 0:
 		return fmt.Errorf("serve: negative request count %d", s.Requests)
 	case s.MaxBatch < 0:
@@ -436,68 +409,37 @@ func (s Spec) validateShape() error {
 		// Negative-or-non-finite form: a NaN budget fails every admission
 		// comparison and an infinite one overflows the batch-cap math.
 		return fmt.Errorf("serve: KV capacity %g not finite and non-negative", s.KVCapacity)
+	case uint(s.Policy) >= uint(numPolicies):
+		return fmt.Errorf("serve: unknown admission policy %v", s.Policy)
 	}
 	// Reject knobs the chosen policy would silently ignore: a user who
-	// sets them believes they shaped the simulation.
-	if s.Policy != Disaggregated &&
-		(s.PrefillDevices != 0 || s.DecodeDevices != 0 || s.TransferGBps != 0) {
-		// NaN bandwidths land here too: NaN != 0.
-		return fmt.Errorf("serve: PrefillDevices/DecodeDevices/TransferGBps apply to the disaggregated policy only")
+	// sets them believes they shaped the simulation. Past this check every
+	// knob the policy ignores is zero, so the range checks below hold for
+	// all policies alike.
+	switch k, fault := s.CheckKnobs(); fault {
+	case KnobUnread:
+		return fmt.Errorf("serve: %s needs the %s — policy %v ignores it", knobs[k].name, k.Readers("or"), s.Policy)
+	case KnobNeedsPreemption:
+		return fmt.Errorf("serve: %s needs preemption — NoPreempt never evicts (unset it)", knobs[k].name)
+	case KnobNeedsDependency:
+		dep, purpose, _ := k.Requires()
+		return fmt.Errorf("serve: %s %s — set %s with it", knobs[k].name, purpose, knobs[dep].name)
 	}
-	// Prefix caching lives in the paged policy's block registry, and a
-	// NoPreempt reservation has no block registry growth to share into.
-	if s.prefixed() && (s.Policy != Paged || s.NoPreempt) {
-		return fmt.Errorf("serve: prefix caching needs the paged policy with preemption enabled (Policy: Paged, NoPreempt unset)")
-	}
-	if s.HostKVBytes != 0 || s.SwapGBps != 0 {
-		if s.Policy != Paged {
-			return fmt.Errorf("serve: HostKVBytes/SwapGBps apply to the paged policy only")
-		}
-		if s.NoPreempt {
-			return fmt.Errorf("serve: the host KV tier holds preemption victims — NoPreempt never evicts any (unset one)")
-		}
-		if s.HostKVBytes < 0 || math.IsNaN(s.HostKVBytes) || math.IsInf(s.HostKVBytes, 0) {
-			return fmt.Errorf("serve: host KV capacity %g bytes not finite and non-negative", s.HostKVBytes)
-		}
-		if s.SwapGBps != 0 && s.HostKVBytes == 0 {
-			return fmt.Errorf("serve: SwapGBps prices the host KV tier's link — set HostKVBytes too")
-		}
-		if s.SwapGBps < 0 || math.IsNaN(s.SwapGBps) {
-			return fmt.Errorf("serve: swap bandwidth %g GB/s not non-negative (0 derives %g; +Inf is a free swap)",
-				s.SwapGBps, DefaultSwapGBps)
-		}
-	}
-	switch s.Policy {
-	case ReserveFull:
-		if s.PageTokens != 0 {
-			return fmt.Errorf("serve: PageTokens applies to the paged and disaggregated policies only")
-		}
-		if s.NoPreempt {
-			return fmt.Errorf("serve: NoPreempt applies to the paged policy only")
-		}
-	case Paged:
-		if s.PageTokens < 0 {
-			return fmt.Errorf("serve: negative page size %d tokens", s.PageTokens)
-		}
-	case Disaggregated:
-		if s.PageTokens < 0 {
-			return fmt.Errorf("serve: negative page size %d tokens", s.PageTokens)
-		}
-		if s.NoPreempt {
-			return fmt.Errorf("serve: NoPreempt applies to the paged policy only")
-		}
-		if s.PrefillDevices < 0 || s.PrefillDevices > s.TP {
-			return fmt.Errorf("serve: prefill pool of %d devices outside [1, TP=%d] (0 derives TP)", s.PrefillDevices, s.TP)
-		}
-		if s.DecodeDevices < 0 || s.DecodeDevices > s.TP {
-			return fmt.Errorf("serve: decode pool of %d devices outside [1, TP=%d] (0 derives TP)", s.DecodeDevices, s.TP)
-		}
-		if s.TransferGBps < 0 || math.IsNaN(s.TransferGBps) {
-			return fmt.Errorf("serve: KV-transfer bandwidth %g GB/s not non-negative (0 derives %g; +Inf is a free transfer)",
-				s.TransferGBps, DefaultTransferGBps)
-		}
-	default:
-		return fmt.Errorf("serve: unknown admission policy %v", s.Policy)
+	switch {
+	case s.PageTokens < 0:
+		return fmt.Errorf("serve: negative page size %d tokens", s.PageTokens)
+	case s.PrefillDevices < 0 || s.PrefillDevices > s.TP:
+		return fmt.Errorf("serve: prefill pool of %d devices outside [1, TP=%d] (0 derives TP)", s.PrefillDevices, s.TP)
+	case s.DecodeDevices < 0 || s.DecodeDevices > s.TP:
+		return fmt.Errorf("serve: decode pool of %d devices outside [1, TP=%d] (0 derives TP)", s.DecodeDevices, s.TP)
+	case s.TransferGBps < 0 || math.IsNaN(s.TransferGBps):
+		return fmt.Errorf("serve: KV-transfer bandwidth %g GB/s not non-negative (0 derives %g; +Inf is a free transfer)",
+			s.TransferGBps, DefaultTransferGBps)
+	case s.HostKVBytes < 0 || math.IsNaN(s.HostKVBytes) || math.IsInf(s.HostKVBytes, 0):
+		return fmt.Errorf("serve: host KV capacity %g bytes not finite and non-negative", s.HostKVBytes)
+	case s.SwapGBps < 0 || math.IsNaN(s.SwapGBps):
+		return fmt.Errorf("serve: swap bandwidth %g GB/s not non-negative (0 derives %g; +Inf is a free swap)",
+			s.SwapGBps, DefaultSwapGBps)
 	}
 	return nil
 }

@@ -248,17 +248,6 @@ type PoolSplit struct {
 	Decode  int
 }
 
-// hasPolicy reports whether pol appears in the (possibly defaulted)
-// policy axis.
-func hasPolicy(policies []serve.Policy, pol serve.Policy) bool {
-	for _, p := range policies {
-		if p == pol {
-			return true
-		}
-	}
-	return false
-}
-
 func (s Spec) withDefaults() Spec {
 	// A serving sweep whose requests are shaped by a mix or a trace has no
 	// spec-wide Seqs/GenTokens axes to default (and a trace fixes the
@@ -302,7 +291,7 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Policies) == 0 {
 		s.Policies = []serve.Policy{serve.ReserveFull}
 	}
-	if len(s.PoolSplits) == 0 && hasPolicy(s.Policies, serve.Disaggregated) {
+	if len(s.PoolSplits) == 0 {
 		// The zero split canonicalizes per system to the co-located
 		// configuration (both pools spanning every device).
 		s.PoolSplits = []PoolSplit{{}}
@@ -370,10 +359,8 @@ func (s Spec) Validate() error {
 		if len(s.GenTokens) > 0 {
 			return fmt.Errorf("sweep: GenTokens applies to inference and serving sweeps only")
 		}
-		for _, mb := range s.Constraints.Microbatches {
-			if mb <= 0 {
-				return fmt.Errorf("sweep: non-positive microbatch %d", mb)
-			}
+		if mb, bad := firstBelow(s.Constraints.Microbatches, 1); bad {
+			return fmt.Errorf("sweep: non-positive microbatch %d", mb)
 		}
 	case Inference, Serving:
 		// Inference and serving maps are fixed to TP = device count
@@ -404,22 +391,15 @@ func (s Spec) Validate() error {
 					return fmt.Errorf("sweep: %w", err)
 				}
 			}
-			for _, c := range s.BatchCaps {
-				if c < 0 {
-					return fmt.Errorf("sweep: negative batch cap %d", c)
-				}
+			if c, bad := firstBelow(s.BatchCaps, 0); bad {
+				return fmt.Errorf("sweep: negative batch cap %d", c)
 			}
 			if s.ServeRequests < 0 {
 				return fmt.Errorf("sweep: negative serving request count %d", s.ServeRequests)
 			}
-			hasPaged, hasDisagg := false, false
 			for _, pol := range s.Policies {
 				switch pol {
-				case serve.Paged:
-					hasPaged = true
-				case serve.Disaggregated:
-					hasDisagg = true
-				case serve.ReserveFull:
+				case serve.ReserveFull, serve.Paged, serve.Disaggregated:
 				default:
 					return fmt.Errorf("sweep: unknown serving policy %v", pol)
 				}
@@ -427,67 +407,19 @@ func (s Spec) Validate() error {
 			if s.ServePageTokens < 0 {
 				return fmt.Errorf("sweep: negative serving page size %d tokens", s.ServePageTokens)
 			}
-			// Without a paging policy entry the page size would be silently
-			// discarded at enumeration — reject, matching serve.Spec's
-			// strictness about knobs the chosen policy ignores.
-			if s.ServePageTokens != 0 && !hasPaged && !hasDisagg {
-				return fmt.Errorf("sweep: ServePageTokens needs a Paged or Disaggregated entry in Policies")
-			}
 			for _, sp := range s.PoolSplits {
 				if sp.Prefill < 0 || sp.Decode < 0 {
 					return fmt.Errorf("sweep: negative pool split %d+%d devices", sp.Prefill, sp.Decode)
 				}
 			}
-			if len(s.PoolSplits) > 0 && !hasDisagg {
-				return fmt.Errorf("sweep: PoolSplits needs a Disaggregated entry in Policies")
-			}
 			if s.TransferGBps < 0 || math.IsNaN(s.TransferGBps) {
 				return fmt.Errorf("sweep: KV-transfer bandwidth %g GB/s not non-negative", s.TransferGBps)
 			}
-			if s.TransferGBps != 0 && !hasDisagg {
-				return fmt.Errorf("sweep: TransferGBps needs a Disaggregated entry in Policies")
+			if pre, bad := firstBelow(s.PrefixTokens, 0); bad {
+				return fmt.Errorf("sweep: negative prefix length %d tokens", pre)
 			}
-			hasPrefix, hasHost := false, false
-			for _, pre := range s.PrefixTokens {
-				if pre < 0 {
-					return fmt.Errorf("sweep: negative prefix length %d tokens", pre)
-				}
-				if pre > 0 {
-					hasPrefix = true
-				}
-			}
-			if hasPrefix && !hasPaged {
-				return fmt.Errorf("sweep: PrefixTokens needs a Paged entry in Policies")
-			}
-			if hasPrefix && (len(s.Mixes) > 0 || len(s.Trace) > 0) {
-				return fmt.Errorf("sweep: PrefixTokens shapes the spec-wide workload — give Mixes/Trace entries their own per-entry prefixes")
-			}
-			hasSessions := false
-			for _, t := range s.Turns {
-				if t < 0 {
-					return fmt.Errorf("sweep: negative session turns %d", t)
-				}
-				if t > 1 {
-					hasSessions = true
-				}
-			}
-			if hasSessions && !hasPaged {
-				return fmt.Errorf("sweep: Turns above 1 needs a Paged entry in Policies (session cohorts grow a shared prefix)")
-			}
-			if hasSessions && hasPrefix {
-				return fmt.Errorf("sweep: session cohorts own the shared prefix — drop the PrefixTokens axis with Turns above 1")
-			}
-			if hasSessions {
-				for _, mix := range s.Mixes {
-					for _, t := range mix {
-						if t.PrefixTokens > 0 {
-							return fmt.Errorf("sweep: session cohorts own the shared prefix — drop per-entry prefixes from the mixes (tenant %q carries one)", t.Tenant)
-						}
-					}
-				}
-			}
-			if s.Think != 0 && !hasSessions {
-				return fmt.Errorf("sweep: Think is the pause between session turns — set a Turns entry above 1 with it, got Think %g", s.Think)
+			if t, bad := firstBelow(s.Turns, 0); bad {
+				return fmt.Errorf("sweep: negative session turns %d", t)
 			}
 			if !(s.Think >= 0) || math.IsInf(s.Think, 0) {
 				return fmt.Errorf("sweep: think time %g not finite and non-negative", s.Think)
@@ -496,34 +428,40 @@ func (s Spec) Validate() error {
 				if hb < 0 || math.IsNaN(hb) || math.IsInf(hb, 0) {
 					return fmt.Errorf("sweep: host KV capacity %g bytes not finite and non-negative", hb)
 				}
-				if hb > 0 {
-					hasHost = true
-				}
-			}
-			if hasHost && !hasPaged {
-				return fmt.Errorf("sweep: HostKVBytes needs a Paged entry in Policies")
 			}
 			if s.SwapGBps < 0 || math.IsNaN(s.SwapGBps) {
 				return fmt.Errorf("sweep: swap bandwidth %g GB/s not non-negative", s.SwapGBps)
 			}
-			if s.SwapGBps != 0 && !hasHost {
-				return fmt.Errorf("sweep: SwapGBps needs a non-zero host tier capacity in HostKVBytes")
+			// Knob axes no listed policy reads would be silently discarded
+			// at enumeration — reject them, in serve's own terms.
+			switch k, fault := s.CheckKnobs(); fault {
+			case serve.KnobUnread:
+				return fmt.Errorf("sweep: %s needs a %s in Policies", knobAxes[k], k.Readers("or"))
+			case serve.KnobNeedsDependency:
+				dep, purpose, _ := k.Requires()
+				return fmt.Errorf("sweep: %s %s — set %s with it", knobAxes[k], purpose, knobAxes[dep])
 			}
-			for _, g := range s.GenTokens {
-				if g < 1 {
-					return fmt.Errorf("sweep: serving needs at least one generated token, got %d", g)
+			if anyAbove(s.PrefixTokens, 0) && (len(s.Mixes) > 0 || len(s.Trace) > 0) {
+				return fmt.Errorf("sweep: PrefixTokens shapes the spec-wide workload — give Mixes/Trace entries their own per-entry prefixes")
+			}
+			if anyAbove(s.Turns, 1) {
+				if anyAbove(s.PrefixTokens, 0) {
+					return fmt.Errorf("sweep: session cohorts own the shared prefix — drop the PrefixTokens axis with Turns above 1")
+				}
+				// Serve's rule, per mix: a session owns its prefix.
+				for _, mix := range s.Mixes {
+					if err := workload.ValidateSessionMix(mix); err != nil {
+						return err
+					}
 				}
 			}
-			hasFleet := false
-			for _, r := range s.Replicas {
-				// Zero is the explicit single-instance entry; a negative
-				// fleet cannot be meant.
-				if r < 0 {
-					return fmt.Errorf("sweep: negative fleet size %d replicas", r)
-				}
-				if r > 0 {
-					hasFleet = true
-				}
+			if g, bad := firstBelow(s.GenTokens, 1); bad {
+				return fmt.Errorf("sweep: serving needs at least one generated token, got %d", g)
+			}
+			// Zero is the explicit single-instance entry; a negative fleet
+			// cannot be meant.
+			if r, bad := firstBelow(s.Replicas, 0); bad {
+				return fmt.Errorf("sweep: negative fleet size %d replicas", r)
 			}
 			for _, rt := range s.Routings {
 				switch rt {
@@ -535,7 +473,7 @@ func (s Spec) Validate() error {
 			// Without a fleet axis every candidate is single-instance and
 			// the routing axis would be silently discarded — reject, like
 			// ServePageTokens without a paging policy.
-			if len(s.Routings) > 0 && !hasFleet {
+			if len(s.Routings) > 0 && !anyAbove(s.Replicas, 0) {
 				return fmt.Errorf("sweep: Routings needs a positive fleet size in Replicas")
 			}
 			if len(s.Mixes) > 0 {
@@ -591,22 +529,65 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
-	for _, b := range s.GlobalBatches {
-		if b <= 0 {
-			return fmt.Errorf("sweep: non-positive batch %d", b)
-		}
+	if b, bad := firstBelow(s.GlobalBatches, 1); bad {
+		return fmt.Errorf("sweep: non-positive batch %d", b)
 	}
-	for _, q := range s.Seqs {
-		if q <= 0 {
-			return fmt.Errorf("sweep: non-positive sequence length %d", q)
-		}
+	if q, bad := firstBelow(s.Seqs, 1); bad {
+		return fmt.Errorf("sweep: non-positive sequence length %d", q)
 	}
-	for _, g := range s.GenTokens {
-		if g < 0 {
-			return fmt.Errorf("sweep: negative generation length %d", g)
-		}
+	if g, bad := firstBelow(s.GenTokens, 0); bad {
+		return fmt.Errorf("sweep: negative generation length %d", g)
 	}
 	return nil
+}
+
+// CheckKnobs applies serve's knob table to the grid in axis form: a knob
+// axis passes when at least one listed policy reads it
+// (serve.CheckKnobSet). Validate reports its verdict naming Spec axes; the
+// CLI queries it directly to name its flags instead.
+func (s Spec) CheckKnobs() (serve.Knob, serve.KnobFault) {
+	set := serve.KnobSet(0).With(serve.KnobPageTokens, s.ServePageTokens != 0).
+		With(serve.KnobPoolSplit, len(s.PoolSplits) > 0).
+		With(serve.KnobTransferGBps, s.TransferGBps != 0).
+		With(serve.KnobPrefix, anyAbove(s.PrefixTokens, 0) || workload.Prefixed(s.Trace, s.Mixes...)).
+		With(serve.KnobSessions, anyAbove(s.Turns, 1)).
+		With(serve.KnobHostKV, anyAbove(s.HostKVBytes, 0)).
+		With(serve.KnobSwapGBps, s.SwapGBps != 0).
+		With(serve.KnobThink, s.Think != 0)
+	return serve.CheckKnobSet(set, s.withDefaults().Policies, false)
+}
+
+// knobAxes names each serve knob in Spec axes, for Validate's messages.
+// The grid has no NoPreempt axis, so that knob is never set.
+var knobAxes = [serve.NumKnobs]string{
+	serve.KnobPageTokens:   "ServePageTokens",
+	serve.KnobPoolSplit:    "PoolSplits",
+	serve.KnobTransferGBps: "TransferGBps",
+	serve.KnobPrefix:       "a shared prefix (a PrefixTokens entry or a per-entry Mixes/Trace prefix)",
+	serve.KnobSessions:     "a Turns entry above 1",
+	serve.KnobHostKV:       "a non-zero HostKVBytes entry",
+	serve.KnobSwapGBps:     "SwapGBps",
+	serve.KnobThink:        "Think",
+}
+
+// anyAbove reports whether some entry of xs exceeds min.
+func anyAbove[T int | float64](xs []T, min T) bool {
+	for _, x := range xs {
+		if x > min {
+			return true
+		}
+	}
+	return false
+}
+
+// firstBelow returns the first entry of xs below min, NaN included.
+func firstBelow[T int | float64](xs []T, min T) (T, bool) {
+	for _, x := range xs {
+		if !(x >= min) {
+			return x, true
+		}
+	}
+	return 0, false
 }
 
 // Point is one fully instantiated candidate experiment.
@@ -986,8 +967,8 @@ func enumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen i
 // base carries the candidate's model, system, precision and every serving
 // axis value, plus its request shape: the spec-wide Seq/GenTokens/
 // PrefixTokens, a Mix, or a Trace. The mapping is fixed to TP = device
-// count as in inference. Knobs the policy ignores are zeroed — the prefix,
-// host tier and session cohort off the paged policy, the think time
+// count as in inference. Knobs serve's table says the policy ignores are
+// zeroed — the prefix, host tier and session cohort, and the think time
 // without a cohort — and the page size, pool split, transfer and swap
 // bandwidths resolve through serve's Canonical* rules, the page size
 // clamped at the context serve itself runs. Equal-behavior candidates
@@ -1004,10 +985,14 @@ func enumerateServing(base Point, pageTokens int, split PoolSplit, modelTok, sys
 	}
 	p.Workload = Serving
 	p.Map = parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1}
-	if p.Policy != serve.Paged {
-		p.PrefixTokens, p.HostKVBytes, p.Turns = 0, 0, 0
+	if !p.Policy.Reads(serve.KnobPrefix) {
+		p.PrefixTokens = 0
 	}
-	if p.Turns <= 1 {
+	if !p.Policy.Reads(serve.KnobHostKV) {
+		p.HostKVBytes = 0
+	}
+	if !p.Policy.Reads(serve.KnobSessions) || p.Turns <= 1 {
+		// Think refines a session cohort: without one it goes too.
 		p.Turns, p.Think = 0, 0
 	}
 	if p.PrefixTokens > 0 && (p.PrefixTokens >= p.Seq || p.Turns > 0) {
@@ -1116,11 +1101,11 @@ func forEachCell(s Spec, emit func([]Point)) {
 	if s.Workload == Serving {
 		arrivals, shapes = servingAxes(s)
 	}
-	// The pool split is a grid axis for disaggregated candidates only;
+	// The pool split is a grid axis for the policies that read it only;
 	// other policies see the zero split, which canonicalizes away (no
 	// duplicate cells).
 	polSplits := func(pol serve.Policy) []PoolSplit {
-		if pol == serve.Disaggregated {
+		if pol.Reads(serve.KnobPoolSplit) {
 			return s.PoolSplits
 		}
 		return []PoolSplit{{}}

@@ -280,6 +280,38 @@ func ValidateMix(mix []TenantLoad) error {
 	return nil
 }
 
+// Prefixed reports whether a trace event or an entry of one of the mixes
+// carries a non-empty shared prefix. Shared by serve.Spec and the sweep
+// grid validation.
+func Prefixed(trace []TraceEvent, mixes ...[]TenantLoad) bool {
+	for _, ev := range trace {
+		if ev.PrefixTokens > 0 {
+			return true
+		}
+	}
+	for _, mix := range mixes {
+		for _, t := range mix {
+			if t.PrefixTokens > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// ValidateSessionMix checks that a mix can seed session cohorts: a session
+// owns its shared prefix (its growing context), so no entry may name one
+// of its own — not even a zero-token PrefixID. Shared by serve.Spec and
+// the sweep grid validation.
+func ValidateSessionMix(mix []TenantLoad) error {
+	for _, t := range mix {
+		if t.PrefixID != "" || t.PrefixTokens != 0 {
+			return fmt.Errorf("workload: session cohorts own the shared prefix — drop per-entry prefixes from the mix (tenant %q carries one)", t.Tenant)
+		}
+	}
+	return nil
+}
+
 // ValidateTrace checks a replay trace: non-empty, finite non-negative
 // arrival times in non-decreasing order, a well-formed shape per event,
 // and coherent session columns (Session and Turn are set together, and a
