@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 examples perfbench-check loc
+.PHONY: check vet lint build test race bench sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 examples perfbench-check loc
 
 check: vet lint build cover-race
 
@@ -28,20 +28,6 @@ race:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-
-# Machine-readable throughput snapshot: runs the serve/cluster/sweep
-# benchmarks and parses `go test -bench` output into $(BENCH_JSON) via
-# cmd/benchjson (name, iterations, and every metric incl. sim-req/s).
-# CI runs it with BENCHTIME=1x as a smoke test so the bench path cannot
-# rot; locally the default 1s benchtime gives comparable numbers.
-BENCH_JSON ?= bench-local.json
-BENCHTIME ?= 1s
-bench-json:
-	@set -e; \
-	out=$$($(GO) test -run xxx -bench 'BenchmarkServe|BenchmarkCluster|BenchmarkSweep' -benchmem -benchtime $(BENCHTIME) .); \
-	printf '%s\n' "$$out"; \
-	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson > $(BENCH_JSON); \
-	echo "bench-json: wrote $(BENCH_JSON)"
 
 # The plan-sweep benches. They measure different work, so their ratios
 # are not speedups: SweepSerial fully costs every candidate, SweepParallel

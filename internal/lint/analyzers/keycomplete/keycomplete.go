@@ -1,20 +1,21 @@
 // Package keycomplete enforces the sweep memo-cache identity invariant:
 // every field of sweep.Point — every sweep axis — must be folded into the
-// candidate's canonical key.
+// candidate's identity.
 //
-// The memo cache (and the on-disk cache it persists to) deduplicates
-// evaluations by Point.Key; a field that shapes the evaluation but is
-// missing from the key makes two different candidates alias one memo
+// The memo cache deduplicates evaluations by the comparable ident that
+// identOf builds, and the on-disk cache it persists to by the Point.Key
+// string formatted from it; a field that shapes the evaluation but is
+// missing from the identity makes two different candidates alias one memo
 // entry and silently serves the wrong metrics. That bug class is exactly
 // why the cost-model version bump exists, and it has historically been
 // caught only when someone remembered to extend the hand-written key
 // test. This analyzer makes the omission a lint failure instead: it walks
-// every function statically reachable from the key builders (Key and
-// buildKey, so token helpers like modelToken count) and reports any Point
+// every function statically reachable from the identity builders (Key and
+// identOf, so token helpers like modelToken count) and reports any Point
 // field never read along the way.
 //
-// A field that is deliberately not an axis — e.g. the cached key string
-// itself — carries //lint:nokey with a justification.
+// A field that is deliberately not an axis carries //lint:nokey with a
+// justification.
 package keycomplete
 
 import (
@@ -25,18 +26,18 @@ import (
 	"optimus/internal/lint/directive"
 )
 
-// StructName and KeyFuncs name the struct and its key-builder roots. The
-// analyzer triggers on any package declaring both, so fixtures exercise
-// the real code path.
+// StructName and KeyFuncs name the struct and its identity-builder
+// roots. The analyzer triggers on any package declaring both, so fixtures
+// exercise the real code path.
 var (
 	StructName = "Point"
-	KeyFuncs   = []string{"Key", "buildKey"}
+	KeyFuncs   = []string{"Key", "identOf"}
 )
 
 // Analyzer is the key-completeness check.
 var Analyzer = &analysis.Analyzer{
 	Name: "keycomplete",
-	Doc:  "every sweep.Point field must be referenced from Key/buildKey (directly or via a helper) or carry //lint:nokey",
+	Doc:  "every sweep.Point field must be referenced from Key/identOf (directly or via a helper) or carry //lint:nokey",
 	Run:  run,
 }
 
@@ -69,7 +70,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
-	// Roots: the key builders, as methods of Point or free functions.
+	// Roots: the identity builders, as methods of Point or free functions.
 	var work []*ast.FuncDecl
 	seen := make(map[*types.Func]bool)
 	for fn, fd := range decls {

@@ -1,5 +1,6 @@
-// Package sweep is a keycomplete fixture: a Point whose key builders
-// cover some fields directly, one through a token helper, and miss one —
+// Package sweep is a keycomplete fixture shaped like the real package:
+// Key formats the model token and the identity identOf builds, identOf
+// covers one field directly and one through a helper, and misses one —
 // the seeded violation the analyzer must catch.
 package sweep
 
@@ -8,20 +9,26 @@ import "strconv"
 type Point struct {
 	Model string
 	Batch int
+	Seq   int
 	Rate  float64 // want `Point\.Rate is not folded into`
-	key   string  //lint:nokey cached key storage, not an axis
+	note  string  //lint:nokey annotation only, not an axis
 	//lint:nokey
 	Hidden int // want `bare //lint:nokey directive`
 }
 
+type ident struct {
+	batch, seq int
+}
+
 func (p Point) Key() string {
-	return buildKey(p)
+	id := identOf(&p)
+	return p.Model + "|" + strconv.Itoa(id.batch) + "|" + strconv.Itoa(id.seq)
 }
 
-func buildKey(p Point) string {
-	return p.Model + "|" + batchToken(p)
+func identOf(p *Point) ident {
+	return ident{batch: p.Batch, seq: seqOf(p)}
 }
 
-func batchToken(p Point) string {
-	return strconv.Itoa(p.Batch)
+func seqOf(p *Point) int {
+	return p.Seq
 }

@@ -24,7 +24,9 @@ type Engine struct {
 	workers int
 
 	mu   sync.Mutex
-	memo map[string]*memoEntry
+	memo map[ident]*memoEntry
+	// toks interns the memo identities' tokens, for the engine's lifetime.
+	toks *tokens
 }
 
 // New returns an engine with the given pool size; workers <= 0 means
@@ -33,7 +35,7 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: workers, memo: make(map[string]*memoEntry)}
+	return &Engine{workers: workers, memo: make(map[ident]*memoEntry), toks: newTokens()}
 }
 
 // CacheSize reports how many evaluations the memo holds.
@@ -57,11 +59,18 @@ type counters struct {
 // across the pool.
 const chunkSize = 32
 
-// chunk is a run of consecutive candidates; base is the enumeration index
-// of points[0], the rank tiebreak.
+// gridCell is one enumerated grid cell: its candidates and their tokens.
+type gridCell struct {
+	points []Point
+	tok    cellTokens
+}
+
+// chunk is a run of consecutive candidates of one cell; base is the
+// enumeration index of points[0], the rank tiebreak.
 type chunk struct {
 	base   int
 	points []Point
+	tok    cellTokens
 }
 
 // Run evaluates the grid concurrently and returns the same ranking Serial
@@ -85,11 +94,11 @@ func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 	}
 	// Every cell is walked before the pool starts, so the pool can be
 	// clamped to the candidate count.
-	var cells [][]Point
+	var cells []gridCell
 	enumerated := 0
-	forEachCell(s, func(cell []Point) {
-		cells = append(cells, cell)
-		enumerated += len(cell)
+	forEachCell(s, e.toks, func(points []Point, tok cellTokens) {
+		cells = append(cells, gridCell{points, tok})
+		enumerated += len(points)
 	})
 	c := s.Constraints.WithDefaults(firstSystem(s))
 	// Overflowing candidates must still be costed when they are kept in
@@ -132,7 +141,7 @@ func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 					default:
 					}
 					p := &ch.points[i]
-					m, ok := e.eval(ctx, p, prune, &ct, ev)
+					m, ok := e.eval(ctx, p, ch.tok, prune, &ct, ev)
 					if !ok {
 						continue
 					}
@@ -147,8 +156,8 @@ func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 	}
 	base := 0
 feed:
-	for _, cell := range cells {
-		for off := 0; off < len(cell); off += chunkSize {
+	for _, cl := range cells {
+		for off := 0; off < len(cl.points); off += chunkSize {
 			// Checked before the send: when both select cases are ready Go
 			// picks randomly, which would let a cancelled context still
 			// feed (and cost) candidates.
@@ -156,12 +165,12 @@ feed:
 				break feed
 			}
 			select {
-			case chunks <- chunk{base: base + off, points: cell[off:min(off+chunkSize, len(cell))]}:
+			case chunks <- chunk{base: base + off, points: cl.points[off:min(off+chunkSize, len(cl.points))], tok: cl.tok}:
 			case <-ctx.Done():
 				break feed
 			}
 		}
-		base += len(cell)
+		base += len(cl.points)
 	}
 	close(chunks)
 	wg.Wait()
@@ -186,15 +195,27 @@ feed:
 	return Result{Rows: rank(rows, c), Stats: stats}, nil
 }
 
-// eval costs one point: feasibility pre-check (when pruning is sound),
-// then a memoized full evaluation. Only full evaluations enter the memo —
-// a pruned point costs nothing and decides nothing beyond its own run.
-func (e *Engine) eval(ctx context.Context, p *Point, prune bool, ct *counters, ev *evaluator) (Metrics, bool) {
-	key := p.cachedKey()
+// eval costs one point of the cell whose tokens are tok: a memoized full
+// evaluation, preceded by the feasibility pre-check (when pruning is
+// sound) on a memo miss. Only full evaluations enter the memo — a pruned
+// point costs nothing and decides nothing beyond its own run.
+//
+//optimus:hotpath
+func (e *Engine) eval(ctx context.Context, p *Point, tok cellTokens, prune bool, ct *counters, ev *evaluator) (Metrics, bool) {
+	id := identOf(p, tok)
 	e.mu.Lock()
-	ent := e.memo[key]
+	ent := e.memo[id]
 	e.mu.Unlock()
-	if ent == nil && prune {
+	if ent == nil {
+		return e.evalMiss(ctx, p, &id, prune, ct, ev)
+	}
+	return awaitEntry(ctx, ent, ct)
+}
+
+// evalMiss is eval's memo-miss path: prune, then claim the memo entry and
+// evaluate — or wait on the claim another worker made meanwhile.
+func (e *Engine) evalMiss(ctx context.Context, p *Point, id *ident, prune bool, ct *counters, ev *evaluator) (Metrics, bool) {
+	if prune {
 		fit, err := Feasible(*p)
 		if err != nil {
 			ct.errors.Add(1)
@@ -207,24 +228,30 @@ func (e *Engine) eval(ctx context.Context, p *Point, prune bool, ct *counters, e
 		// The prune check ran unclaimed, so another worker may have
 		// memoized the evaluation meanwhile; re-check below.
 	}
-	if ent == nil {
-		e.mu.Lock()
-		ent = e.memo[key]
-		if ent == nil {
-			ent = &memoEntry{done: make(chan struct{})}
-			e.memo[key] = ent
-			e.mu.Unlock()
-			ent.m, ent.err = ev.evaluate(*p)
-			close(ent.done)
-			if ent.err != nil {
-				ct.errors.Add(1)
-				return Metrics{}, false
-			}
-			ct.evaluated.Add(1)
-			return ent.m, true
-		}
+	e.mu.Lock()
+	ent := e.memo[*id]
+	if ent != nil {
 		e.mu.Unlock()
+		return awaitEntry(ctx, ent, ct)
 	}
+	ent = &memoEntry{done: make(chan struct{})}
+	e.memo[*id] = ent
+	e.mu.Unlock()
+	ent.m, ent.err = ev.evaluate(*p)
+	close(ent.done)
+	if ent.err != nil {
+		ct.errors.Add(1)
+		return Metrics{}, false
+	}
+	ct.evaluated.Add(1)
+	return ent.m, true
+}
+
+// awaitEntry answers a point from a memo entry, waiting for the worker
+// that claimed it to finish.
+//
+//optimus:hotpath
+func awaitEntry(ctx context.Context, ent *memoEntry, ct *counters) (Metrics, bool) {
 	select {
 	case <-ent.done:
 	case <-ctx.Done():

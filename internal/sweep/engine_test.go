@@ -212,3 +212,43 @@ func TestEngineWarmAllocBudget(t *testing.T) {
 		t.Errorf("warm Engine.Run allocates %.0f B per candidate, budget %d", per, budget)
 	}
 }
+
+// TestSweepAllocBudget pins the engine's allocation count on a warm memo:
+// O(cells), not O(candidates). Enumeration allocates a few slices per
+// (model, system, precision, batch, seq) cell and the run a fixed set
+// (workers, channels, ranking); identifying, dispatching and answering a
+// candidate from the memo allocates nothing, so a per-candidate key string
+// or lookup allocation would blow the budget many times over.
+func TestSweepAllocBudget(t *testing.T) {
+	var systems []*arch.System
+	for _, n := range []int{64, 128, 256, 512} {
+		systems = append(systems, dgx(t, n))
+	}
+	spec := sweep.Spec{
+		Models:        []model.Config{model.GPT175B(), model.GPT530B()},
+		Systems:       systems,
+		GlobalBatches: []int{512, 1024, 2048},
+		Seqs:          []int{2048, 4096},
+		Workers:       2,
+	}
+	cells := len(spec.Models) * len(spec.Systems) * len(spec.GlobalBatches) * len(spec.Seqs)
+	e := sweep.New(2)
+	res, err := e.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := e.Run(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d cells, %d candidates: %.0f allocs per warm run", cells, res.Stats.Enumerated, allocs)
+	// Measured: 1750 allocations for 48 cells (about 36 per cell: the
+	// divisor lists and each cell's mapping and point slices) and 9162
+	// candidates. A key string per candidate alone would add 9162.
+	const perCell, perRun = 40, 256
+	if budget := float64(perCell*cells + perRun); allocs > budget {
+		t.Errorf("warm Engine.Run allocates %.0f times for %d cells (%d candidates), budget %.0f",
+			allocs, cells, res.Stats.Enumerated, budget)
+	}
+}

@@ -106,10 +106,12 @@ func FuzzServingPointKey(f *testing.F) {
 		if !same && k1 == k2 {
 			t.Fatalf("distinct candidates collide on key %s:\n%+v\n%+v", k1, p1, p2)
 		}
-		// The enumeration-time cached key must agree with the recomputed
-		// one — a stale cache would poison the memo.
-		if p1.cachedKey() != k1 || p2.cachedKey() != k2 {
-			t.Fatal("cached key diverges from recomputed key")
+		// The comparable identity the engine keys on must collide exactly
+		// when the persisted key does — both candidates share one cell, so
+		// one set of tokens.
+		tok := cellTokens{cell: 1}
+		if (identOf(p1, tok) == identOf(p2, tok)) != (k1 == k2) {
+			t.Fatalf("ident equality diverges from key equality:\n%s\n%s", k1, k2)
 		}
 	})
 }

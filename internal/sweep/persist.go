@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 )
 
 // cacheFileVersion guards the on-disk format; bump it when Metrics or the
-// canonical Point.Key change incompatibly.
+// canonical key layout (appendKey) change incompatibly.
 const cacheFileVersion = 1
 
 // costModelVersion stamps the predictors behind the cached numbers. The
-// Point.Key fingerprints configurations, not the cost model itself, so a
-// snapshot written by a binary with different kernel/roofline/simulator
+// persisted key fingerprints configurations, not the cost model itself,
+// so a snapshot written by a binary with different kernel/roofline/simulator
 // math would silently serve stale metrics (and break the engine==serial
 // guarantee) if it were accepted. Bump on ANY change that can alter a
 // predictor's output for an unchanged Point — the pr8 bump covers the
@@ -22,13 +23,19 @@ const cacheFileVersion = 1
 // candidates are costed through a prefix/tier-aware admission policy).
 // The pr10 bump covers the temporal-workload generation seam (every
 // Point.Key grew schedule, session-turn and think-time segments, and the
-// paged policy's prefix entries grow in place for session cohorts).
+// paged policy's prefix entries grow in place for session cohorts). The
+// key is formatted from the engine's in-memory ident only at persist and
+// export, and parsed back on load; that round trip changes no byte of it,
+// so it needs no bump.
 const costModelVersion = "pr10-temporal-workload"
 
 // cacheFile is the on-disk memoization snapshot: successful evaluations
-// keyed by the canonical Point.Key. Keys already fingerprint the full
-// model and system configuration, so stale entries for edited
-// configurations can never be served — they simply stop matching.
+// keyed by the canonical Point.Key string. In memory the engine keys on
+// the comparable ident and formats a key only here, at persist, and in
+// Point.Key, at export; LoadCache parses each key back into an ident.
+// Keys already fingerprint the full model and system configuration, so
+// stale entries for edited configurations can never be served — they
+// simply stop matching.
 type cacheFile struct {
 	Version   int                `json:"version"`
 	CostModel string             `json:"cost_model"`
@@ -41,18 +48,18 @@ type cacheFile struct {
 func (e *Engine) SaveCache(w io.Writer) error {
 	e.mu.Lock()
 	snapshot := make([]*memoEntry, 0, len(e.memo))
-	keys := make([]string, 0, len(e.memo))
+	ids := make([]ident, 0, len(e.memo))
 	//lint:deterministic order-insensitive fold into a JSON map; encoding/json marshals map keys sorted
-	for k, ent := range e.memo {
+	for id, ent := range e.memo {
 		snapshot = append(snapshot, ent)
-		keys = append(keys, k)
+		ids = append(ids, id)
 	}
 	e.mu.Unlock()
 
 	out := cacheFile{
 		Version:   cacheFileVersion,
 		CostModel: costModelVersion,
-		Entries:   make(map[string]Metrics, len(keys)),
+		Entries:   make(map[string]Metrics, len(ids)),
 	}
 	for i, ent := range snapshot {
 		select {
@@ -63,7 +70,7 @@ func (e *Engine) SaveCache(w io.Writer) error {
 		if ent.err != nil {
 			continue
 		}
-		out.Entries[keys[i]] = ent.m
+		out.Entries[e.toks.key(&ids[i])] = ent.m
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -75,7 +82,9 @@ func (e *Engine) SaveCache(w io.Writer) error {
 
 // LoadCache merges a SaveCache snapshot into the memo. Entries already in
 // the memo win — they were computed by this process and are at least as
-// fresh. Unknown versions are rejected rather than misread.
+// fresh. Unknown versions are rejected rather than misread, and so is a
+// key SaveCache could not have written, naming the entry: it would
+// otherwise load and silently never match.
 func (e *Engine) LoadCache(r io.Reader) error {
 	var in cacheFile
 	dec := json.NewDecoder(r)
@@ -91,16 +100,39 @@ func (e *Engine) LoadCache(r io.Reader) error {
 	}
 	closed := make(chan struct{})
 	close(closed)
+	// Every key parses before any entry merges, so a malformed snapshot
+	// loads nothing. The entries live in one slab, not one allocation each.
+	ids := make([]ident, 0, len(in.Entries))
+	slab := make([]memoEntry, 0, len(in.Entries))
+	//lint:deterministic order-insensitive: ids[i] keys slab[i] whatever the visit order, and any malformed key fails the whole load
+	for k, m := range in.Entries {
+		id, err := e.toks.parseKey(k)
+		if err != nil {
+			return fmt.Errorf("sweep: load cache: entry %s: %w", truncateKey(k), err)
+		}
+		ids, slab = append(ids, id), append(slab, memoEntry{done: closed, m: m})
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	//lint:deterministic order-insensitive merge: each key is written at most once regardless of visit order
-	for k, m := range in.Entries {
-		if _, ok := e.memo[k]; ok {
-			continue
+	if len(e.memo) == 0 {
+		// A fresh engine, the common case: size the memo once.
+		e.memo = make(map[ident]*memoEntry, len(ids))
+	}
+	for i := range ids {
+		if _, ok := e.memo[ids[i]]; !ok {
+			e.memo[ids[i]] = &slab[i]
 		}
-		e.memo[k] = &memoEntry{done: closed, m: m}
 	}
 	return nil
+}
+
+// truncateKey shortens a cache key for an error message.
+func truncateKey(k string) string {
+	const max = 80
+	if len(k) <= max {
+		return strconv.Quote(k)
+	}
+	return strconv.Quote(k[:max]) + "…"
 }
 
 // LoadCacheFile loads a cache snapshot from disk; a missing file is not an

@@ -61,6 +61,7 @@ func TestServingFleetEnumeration(t *testing.T) {
 		{2, cluster.LeastQueue},
 	}
 	seen := make(map[string]bool)
+	toks := newTokens()
 	for i, p := range points {
 		if got := (fleet{p.Replicas, p.Routing}); got != want[i] {
 			t.Errorf("candidate %d: fleet axes %+v, want %+v", i, got, want[i])
@@ -70,8 +71,12 @@ func TestServingFleetEnumeration(t *testing.T) {
 			t.Errorf("candidate %d: duplicate key %q", i, k)
 		}
 		seen[k] = true
-		if k != p.cachedKey() {
-			t.Errorf("candidate %d: enumeration key %q != recomputed %q", i, p.cachedKey(), k)
+		id, err := toks.parseKey(k)
+		if err != nil {
+			t.Fatalf("candidate %d: key %q does not parse: %v", i, k, err)
+		}
+		if got := toks.key(&id); got != k {
+			t.Errorf("candidate %d: key %q formats back as %q", i, k, got)
 		}
 	}
 }

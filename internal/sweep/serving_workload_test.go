@@ -28,11 +28,11 @@ func cell(t *testing.T) (model.Config, *arch.System) {
 }
 
 // servingPoints builds one serving candidate of the (cfg, sys) FP16 cell
-// through the sweep's one enumerator, with the tokens made as the grid
-// walk makes them: base carries the request shape and every axis value.
+// through the sweep's one enumerator: base carries the request shape and
+// every axis value.
 func servingPoints(cfg model.Config, sys *arch.System, base Point, pageTokens int, split PoolSplit) []Point {
 	base.Model, base.System, base.Precision = cfg, sys, tech.FP16
-	return enumerateServing(base, pageTokens, split, modelToken(cfg), systemToken(sys), workloadToken(base.Mix, base.Trace))
+	return enumerateServing(base, pageTokens, split)
 }
 
 // mixes0 is a two-value mix axis: a chat-only mix and a chat+batch blend.

@@ -8,8 +8,8 @@
 //
 // Every serving candidate — spec-wide shapes, mixes and traces, single
 // instances and fleets — is built by one enumerator, enumerateServing,
-// which canonicalizes its axes under serve's own rules and keys it once,
-// and is costed by one evaluator.
+// which canonicalizes its axes under serve's own rules, and is costed by
+// one evaluator.
 //
 // The package has two execution paths over the same candidate enumeration:
 //
@@ -30,7 +30,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"optimus/internal/arch"
@@ -656,27 +655,18 @@ type Point struct {
 	Schedule workload.Schedule
 	Turns    int
 	Think    float64
-
-	// key is the precomputed canonical identity; enumeration fills it so
-	// the engine's hot path never formats strings.
-	key string //lint:nokey memo slot for the key itself, not an input to it
 }
 
 // Key canonically identifies everything the evaluation depends on — the
-// memoization and deduplication key. It is always computed from the
-// current field values, so mutated Point copies never alias a stale
-// identity; the engine uses the enumeration-time cache internally.
+// persisted memo key. It is always computed from the current field
+// values, so mutated Point copies never alias a stale identity. The engine
+// itself keys on the comparable ident and formats this string only where
+// an identity leaves the process (SaveCache).
 func (p Point) Key() string {
-	return p.buildKey(modelToken(p.Model), systemToken(p.System), workloadToken(p.Mix, p.Trace))
-}
-
-// cachedKey returns the enumeration-time key without re-formatting; hot
-// paths use it on points the enumerators built.
-func (p *Point) cachedKey() string {
-	if p.key != "" {
-		return p.key
-	}
-	return p.Key()
+	id := identOf(&p, cellTokens{})
+	cell := modelToken(p.Model) + "|" + systemToken(p.System)
+	return string(appendKey(make([]byte, 0, len(cell)+keyFieldsCap), &id, cell,
+		workload.FormatSchedule(p.Schedule), workloadToken(p.Mix, p.Trace)))
 }
 
 // modelToken identifies a model configuration: names alone are not enough,
@@ -699,58 +689,6 @@ func fingerprint(v any) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", v)
 	return strconv.FormatUint(h.Sum64(), 16)
-}
-
-// keyFieldsCap reserves room for the key's separators and numeric fields,
-// beyond its tokens: training keys take 66–69 bytes there, so 96 covers
-// them and typical serving keys without the buffer growing.
-const keyFieldsCap = 96
-
-// buildKey assembles the canonical key without fmt: key construction runs
-// once per enumerated candidate and dominated sweep time when it used
-// reflection-based formatting. The model, system and workload tokens are
-// computed once per grid by forEachCell. The builder is sized up front, so
-// the common key costs one allocation.
-func (p *Point) buildKey(modelStr, sysStr, workloadStr string) string {
-	sp := 0
-	if p.Map.SP {
-		sp = 1
-	}
-	var b strings.Builder
-	b.Grow(len(modelStr) + len(sysStr) + len(workloadStr) + keyFieldsCap)
-	b.WriteString(modelStr)
-	b.WriteByte('|')
-	b.WriteString(sysStr)
-	var num [32]byte
-	for _, v := range [...]int{
-		int(p.Workload), p.Map.DP, p.Map.TP, p.Map.PP, sp,
-		p.Map.Microbatch, int(p.Map.Schedule), p.Map.VirtualStages,
-		int(p.Recompute), int(p.Precision), p.GlobalBatch, p.Seq, p.GenTokens,
-		p.BatchCap, p.ServeRequests, int(p.Policy), p.PageTokens,
-		p.PrefillDevices, p.DecodeDevices, p.Replicas, int(p.Routing),
-		p.PrefixTokens, p.Turns,
-	} {
-		b.WriteByte('|')
-		b.Write(strconv.AppendInt(num[:0], int64(v), 10))
-	}
-	b.WriteByte('|')
-	b.Write(strconv.AppendInt(num[:0], p.ServeSeed, 10))
-	for _, f := range [...]float64{p.Rate, p.TransferGBps, p.HostKVBytes, p.SwapGBps, p.Think} {
-		b.WriteByte('|')
-		if math.Float64bits(f) == 0 {
-			// +0, the common case, rendered as AppendFloat would.
-			b.WriteByte('0')
-			continue
-		}
-		b.Write(strconv.AppendFloat(num[:0], f, 'g', -1, 64))
-	}
-	// The schedule token is FormatSchedule's canonical rendering: digits
-	// and ,-:. only, so it cannot collide with the key's separators.
-	b.WriteByte('|')
-	b.WriteString(workload.FormatSchedule(p.Schedule))
-	b.WriteByte('|')
-	b.WriteString(workloadStr)
-	return b.String()
 }
 
 // workloadToken identifies a serving candidate's request-shape workload —
@@ -884,13 +822,9 @@ func divisors(n int) []int {
 // EnumerateTraining lists the candidate training points of one (model,
 // system, batch, seq, precision) grid cell: the feasible (DP, TP, PP, SP,
 // microbatch, schedule, recompute) space under c, in deterministic order.
+// With duplicate-free Microbatches, Recomputes and Schedules the points
+// are pairwise distinct.
 func EnumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints) []Point {
-	return enumerateTraining(cfg, sys, batch, seq, prec, c, modelToken(cfg), systemToken(sys))
-}
-
-// enumerateTraining is EnumerateTraining with the model and system tokens
-// made by the caller, once per grid rather than once per cell.
-func enumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints, modelStr, sysStr string) []Point {
 	c = c.WithDefaults(sys)
 	devices := sys.NumDevices()
 	var maps []parallel.Mapping
@@ -899,6 +833,12 @@ func enumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec 
 			continue
 		}
 		for _, pp := range divisors(devices / tp) {
+			if cfg.Layers%pp != 0 {
+				// No schedule splits the layers into pp stages: skip the
+				// degree before Mapping.Validate builds an error per
+				// rejected candidate.
+				continue
+			}
 			dp := devices / (tp * pp)
 			for _, mb := range c.Microbatches {
 				if batch%(dp*mb) != 0 {
@@ -939,8 +879,6 @@ func enumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec 
 				Map: m, Recompute: rec, Precision: prec,
 				GlobalBatch: batch, Seq: seq,
 			})
-			p := &out[len(out)-1]
-			p.key = p.buildKey(modelStr, sysStr, "")
 		}
 	}
 	return out
@@ -949,35 +887,32 @@ func enumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec 
 // enumerateInference lists the candidate inference point of one grid
 // cell. Inference involves only TP across the devices of the system
 // (§1.3), so each cell yields at most one mapping.
-func enumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen int, prec tech.Precision, modelStr, sysStr string) []Point {
+func enumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen int, prec tech.Precision) []Point {
 	tp := sys.NumDevices()
 	if cfg.Heads%tp != 0 {
 		return nil
 	}
-	p := Point{
+	return []Point{{
 		Workload: Inference, Model: cfg, System: sys,
 		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
 		Precision: prec, GlobalBatch: batch, Seq: prompt, GenTokens: gen,
-	}
-	p.key = p.buildKey(modelStr, sysStr, "")
-	return []Point{p}
+	}}
 }
 
-// enumerateServing canonicalizes one serving candidate and keys it, once.
-// base carries the candidate's model, system, precision and every serving
-// axis value, plus its request shape: the spec-wide Seq/GenTokens/
-// PrefixTokens, a Mix, or a Trace. The mapping is fixed to TP = device
-// count as in inference. Knobs serve's table says the policy ignores are
-// zeroed — the prefix, host tier and session cohort, and the think time
-// without a cohort — and the page size, pool split, transfer and swap
-// bandwidths resolve through serve's Canonical* rules, the page size
-// clamped at the context serve itself runs. Equal-behavior candidates
-// thus always share one memo key, under exactly the rules the simulator
-// applies. A cell that cannot be simulated yields nil, like an
-// indivisible head count: a prefix leaving no non-shared prompt token (or
-// beside a session cohort, which owns its prefix), or a pool split asking
-// for more devices than the system has.
-func enumerateServing(base Point, pageTokens int, split PoolSplit, modelTok, sysTok, wlTok string) []Point {
+// enumerateServing canonicalizes one serving candidate. base carries the
+// candidate's model, system, precision and every serving axis value, plus
+// its request shape: the spec-wide Seq/GenTokens/PrefixTokens, a Mix, or a
+// Trace. The mapping is fixed to TP = device count as in inference. Knobs
+// serve's table says the policy ignores are zeroed — the prefix, host tier
+// and session cohort, and the think time without a cohort — and the page
+// size, pool split, transfer and swap bandwidths resolve through serve's
+// Canonical* rules, the page size clamped at the context serve itself
+// runs. Equal-behavior candidates thus always share one identity, under
+// exactly the rules the simulator applies. A cell that cannot be simulated
+// yields nil, like an indivisible head count: a prefix leaving no
+// non-shared prompt token (or beside a session cohort, which owns its
+// prefix), or a pool split asking for more devices than the system has.
+func enumerateServing(base Point, pageTokens int, split PoolSplit) []Point {
 	p := base
 	tp := p.System.NumDevices()
 	if p.Model.Heads%tp != 0 {
@@ -1005,41 +940,44 @@ func enumerateServing(base Point, pageTokens int, split PoolSplit, modelTok, sys
 	p.TransferGBps = serve.CanonicalTransferGBps(p.Policy, p.TransferGBps)
 	p.SwapGBps = serve.CanonicalSwapGBps(p.Policy, p.HostKVBytes, p.SwapGBps)
 	p.PageTokens = serve.CanonicalPageTokens(p.Policy, pageTokens, servingSpec(p).MaxContext())
-	p.key = p.buildKey(modelTok, sysTok, wlTok)
 	return []Point{p}
 }
 
-// servingShape is one value of a serving grid's request-shape axis: the
-// shape fields of a candidate (with the request count and seed the shape
-// implies) and its workload token.
-type servingShape struct {
+// servingValue is one value of a serving grid's arrival or request-shape
+// axis: the fields it sets on a candidate — the rate and schedule, or the
+// shape with the request count and seed it implies — and its schedule or
+// workload token.
+type servingValue struct {
 	base Point
-	tok  string
+	tok  uint32
 }
 
-// servingAxes builds a serving grid's arrival and request-shape axes. The
-// arrivals are every constant rate, then every schedule — canonicalized
-// first, so a schedule that is constant after merging enumerates as the
-// equivalent plain-rate candidate and deduplicates against it; a trace
-// fixes the arrival process, so it gets one empty entry. The shapes are
-// the trace, each mix, or prefix × seq × gen; workload tokens fingerprint
-// the full mix or trace contents, so each is hashed once per grid.
-func servingAxes(s Spec) (arrivals []Point, shapes []servingShape) {
+// servingAxes builds a serving grid's arrival and request-shape axes,
+// interning each value's token in toks once. The arrivals are every
+// constant rate, then every schedule — canonicalized first, so a schedule
+// that is constant after merging enumerates as the equivalent plain-rate
+// candidate and deduplicates against it; a trace fixes the arrival
+// process, so it gets one empty entry. The shapes are the trace, each mix,
+// or prefix × seq × gen; workload tokens fingerprint the full mix or trace
+// contents, so each is hashed once per grid.
+func servingAxes(s Spec, toks *tokens) (arrivals, shapes []servingValue) {
 	if len(s.Trace) > 0 {
-		return []Point{{}}, []servingShape{{
-			Point{Trace: s.Trace, ServeRequests: len(s.Trace)}, workloadToken(nil, s.Trace),
+		return []servingValue{{}}, []servingValue{{
+			Point{Trace: s.Trace, ServeRequests: len(s.Trace)}, toks.intern(workloadToken(nil, s.Trace)),
 		}}
 	}
 	for _, r := range s.Rates {
-		arrivals = append(arrivals, Point{Rate: r})
+		arrivals = append(arrivals, servingValue{base: Point{Rate: r}})
 	}
 	for _, sch := range s.Schedules {
 		cs, cr := workload.CanonicalSchedule(sch, 0)
-		arrivals = append(arrivals, Point{Rate: cr, Schedule: cs})
+		arrivals = append(arrivals, servingValue{
+			Point{Rate: cr, Schedule: cs}, toks.intern(workload.FormatSchedule(cs)),
+		})
 	}
 	for _, mix := range s.Mixes {
-		shapes = append(shapes, servingShape{
-			Point{Mix: mix, ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed}, workloadToken(mix, nil),
+		shapes = append(shapes, servingValue{
+			Point{Mix: mix, ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed}, toks.intern(workloadToken(mix, nil)),
 		})
 	}
 	if len(s.Mixes) > 0 {
@@ -1048,7 +986,7 @@ func servingAxes(s Spec) (arrivals []Point, shapes []servingShape) {
 	for _, prefix := range s.PrefixTokens {
 		for _, seq := range s.Seqs {
 			for _, gen := range s.GenTokens {
-				shapes = append(shapes, servingShape{base: Point{
+				shapes = append(shapes, servingValue{base: Point{
 					Seq: seq, GenTokens: gen, PrefixTokens: prefix,
 					ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed,
 				}})
@@ -1062,44 +1000,34 @@ func servingAxes(s Spec) (arrivals []Point, shapes []servingShape) {
 // in deterministic order.
 func Enumerate(s Spec) []Point {
 	var out []Point
-	forEachCell(s, func(cell []Point) { out = append(out, cell...) })
+	forEachCell(s, newTokens(), func(cell []Point, _ cellTokens) { out = append(out, cell...) })
 	return out
 }
 
 // forEachCell walks the grid cell by cell in enumeration order and hands
-// emit each cell's candidates with every key already seen dropped; empty
-// cells are skipped. Concatenating the emitted slices gives Enumerate's
-// list. A cell is copied only when it holds a duplicate, so a
-// duplicate-free cell — the common case — is emitted as built.
-func forEachCell(s Spec, emit func([]Point)) {
+// emit each non-empty cell's candidates, none seen before, with the cell's
+// tokens interned in toks; concatenating the emitted slices gives
+// Enumerate's list.
+//
+// Training and inference identities are injective in a cell's axis values
+// and its mappings, so deduplicating each axis list once — keeping every
+// value's first occurrence — removes every duplicate candidate, in the
+// order a per-candidate seen set would have kept them, without a lookup
+// per candidate. Serving canonicalization can merge distinct axis values
+// into one candidate, so only the serving branch keeps a seen set.
+func forEachCell(s Spec, toks *tokens, emit func([]Point, cellTokens)) {
 	s = s.withDefaults()
-	seen := make(map[string]bool)
-	add := func(points []Point) {
-		for i := range points {
-			k := points[i].cachedKey()
-			if !seen[k] {
-				seen[k] = true
-				continue
-			}
-			kept := append(make([]Point, 0, len(points)-1), points[:i]...)
-			for j := range points[i+1:] {
-				p := &points[i+1+j]
-				if k := p.cachedKey(); !seen[k] {
-					seen[k] = true
-					kept = append(kept, *p)
-				}
-			}
-			points = kept
-			break
-		}
-		if len(points) > 0 {
-			emit(points)
-		}
-	}
-	var arrivals []Point
-	var shapes []servingShape
+	models, modelToks := uniqueBy(s.Models, modelToken)
+	systems, sysToks := uniqueBy(s.Systems, systemToken)
+	precisions := unique(s.Precisions)
+	c := s.Constraints
+	c.Microbatches, c.Recomputes, c.Schedules = unique(c.Microbatches), unique(c.Recomputes), unique(c.Schedules)
+	batches, seqs, gens := unique(s.GlobalBatches), unique(s.Seqs), unique(s.GenTokens)
+	var arrivals, shapes []servingValue
+	var seen map[ident]bool
 	if s.Workload == Serving {
-		arrivals, shapes = servingAxes(s)
+		arrivals, shapes = servingAxes(s, toks)
+		seen = make(map[ident]bool)
 	}
 	// The pool split is a grid axis for the policies that read it only;
 	// other policies see the zero split, which canonicalizes away (no
@@ -1110,11 +1038,10 @@ func forEachCell(s Spec, emit func([]Point)) {
 		}
 		return []PoolSplit{{}}
 	}
-	for _, cfg := range s.Models {
-		modelTok := modelToken(cfg)
-		for _, sys := range s.Systems {
-			sysTok := systemToken(sys)
-			for _, prec := range s.Precisions {
+	for mi, cfg := range models {
+		for si, sys := range systems {
+			tok := cellTokens{cell: toks.intern(modelToks[mi] + "|" + sysToks[si])}
+			for _, prec := range precisions {
 				switch s.Workload {
 				case Serving:
 					for _, ar := range arrivals {
@@ -1135,11 +1062,19 @@ func forEachCell(s Spec, emit func([]Point)) {
 													for _, rt := range routings {
 														p := sh.base
 														p.Model, p.System, p.Precision = cfg, sys, prec
-														p.Rate, p.Schedule, p.Turns, p.Think = ar.Rate, ar.Schedule, turns, s.Think
+														p.Rate, p.Schedule, p.Turns, p.Think = ar.base.Rate, ar.base.Schedule, turns, s.Think
 														p.BatchCap, p.Policy, p.TransferGBps = batchCap, pol, s.TransferGBps
 														p.HostKVBytes, p.SwapGBps = host, s.SwapGBps
 														p.Replicas, p.Routing = reps, rt
-														add(enumerateServing(p, s.ServePageTokens, split, modelTok, sysTok, sh.tok))
+														pts := enumerateServing(p, s.ServePageTokens, split)
+														if len(pts) == 0 {
+															continue
+														}
+														tok.wl, tok.sched = sh.tok, ar.tok
+														if id := identOf(&pts[0], tok); !seen[id] {
+															seen[id] = true
+															emit(pts, tok)
+														}
 													}
 												}
 											}
@@ -1150,23 +1085,46 @@ func forEachCell(s Spec, emit func([]Point)) {
 						}
 					}
 				case Inference:
-					for _, batch := range s.GlobalBatches {
-						for _, seq := range s.Seqs {
-							for _, gen := range s.GenTokens {
-								add(enumerateInference(cfg, sys, batch, seq, gen, prec, modelTok, sysTok))
+					for _, batch := range batches {
+						for _, seq := range seqs {
+							for _, gen := range gens {
+								if pts := enumerateInference(cfg, sys, batch, seq, gen, prec); len(pts) > 0 {
+									emit(pts, tok)
+								}
 							}
 						}
 					}
 				default:
-					for _, batch := range s.GlobalBatches {
-						for _, seq := range s.Seqs {
-							add(enumerateTraining(cfg, sys, batch, seq, prec, s.Constraints, modelTok, sysTok))
+					for _, batch := range batches {
+						for _, seq := range seqs {
+							if pts := EnumerateTraining(cfg, sys, batch, seq, prec, c); len(pts) > 0 {
+								emit(pts, tok)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// uniqueBy keeps each value's first occurrence in xs, comparing values by
+// key, and returns the kept values' keys alongside them.
+func uniqueBy[T any, K comparable](xs []T, key func(T) K) (vals []T, keys []K) {
+	seen := make(map[K]bool, len(xs))
+	for _, x := range xs {
+		if k := key(x); !seen[k] {
+			seen[k] = true
+			vals, keys = append(vals, x), append(keys, k)
+		}
+	}
+	return vals, keys
+}
+
+// unique keeps each value's first occurrence in xs.
+func unique[T comparable](xs []T) []T {
+	vals, _ := uniqueBy(xs, func(x T) T { return x })
+	return vals
 }
 
 // Evaluate runs the full cost model on one point — on fresh simulator
