@@ -10,11 +10,23 @@ check: vet lint build cover-race
 vet:
 	$(GO) vet ./...
 
-# The simulator-invariant analyzer suite (cmd/optimuslint): determinism,
-# keycomplete, hotpath, floateq plus the extra vet passes. Exit contract
-# matches go vet — any finding fails the gate; deliberate sites carry an
-# annotation with a justification (see README "Invariant lints").
+# The formatting gate, then the simulator-invariant analyzer suite
+# (cmd/optimuslint): determinism, keycomplete, hotpath, floateq plus the
+# extra vet passes. Any Go file gofmt would rewrite fails the gate, and so
+# does gofmt itself failing (missing binary, a file that does not parse).
+# gofmt comes from the GO toolchain, so its version follows GO's
+# (.bench_build/ holds perfbench's build caches, not sources). The
+# analyzers' exit contract matches go vet — any finding fails the gate;
+# deliberate sites carry an annotation with a justification (see README
+# "Invariant lints").
 lint:
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | \
+		xargs "$$($(GO) env GOROOT)/bin/gofmt" -l) || { echo "gofmt failed"; exit 1; }; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files are not gofmt-clean (run gofmt -w):"; \
+		printf '%s\n' "$$unformatted"; \
+		exit 1; \
+	fi
 	$(GO) run ./cmd/optimuslint ./...
 
 build:
@@ -31,11 +43,13 @@ bench:
 
 # The plan-sweep benches. They measure different work, so their ratios
 # are not speedups: SweepSerial fully costs every candidate, SweepParallel
-# prunes infeasible ones before costing (most of the grid), and
-# SweepWarmCache re-runs on a memo holding every evaluation, timing the
-# engine layer alone (B/candidate, candidates/s). Speed claims come from
-# same-machine A/B runs of perfbench (perfbench/README.md, "Rules for
-# claims"), not from these numbers.
+# prunes infeasible ones before costing (most of the grid),
+# SweepColdEngine costs every candidate on a fresh engine (layer shapes
+# priced once per run), and SweepWarmCache re-runs on a memo holding
+# every evaluation, timing the engine layer alone (B/candidate,
+# candidates/s). Speed claims come from same-machine A/B runs of
+# perfbench (perfbench/README.md, "Rules for claims"), not from these
+# numbers.
 sweep-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem .
 

@@ -270,6 +270,24 @@ func BenchmarkPredictTraining(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictShape measures the sweep engine's per-candidate
+// training cost: PredictShape on an already priced layer shape, the
+// part of BenchmarkPredictTraining that is not shared across mappings.
+func BenchmarkPredictShape(b *testing.B) {
+	spec, err := repro.TrainSpecFor(valdata.Table1()[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	sh := train.ShapeOf(spec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := train.PredictShape(spec, sh); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPredictInference measures the raw cost of one inference
 // prediction.
 func BenchmarkPredictInference(b *testing.B) {
@@ -367,6 +385,27 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.Stats.Enumerated), "candidates")
 	b.ReportMetric(float64(res.Stats.Pruned), "pruned")
+}
+
+// BenchmarkSweepColdEngine costs every candidate of the grid (overflow
+// allowed, so nothing is pruned) on a fresh engine per iteration: no
+// memo entry carries over, so it times the training evaluation path the
+// engine takes on a memo miss — candidates sharing a layer shape price it
+// once per engine.
+func BenchmarkSweepColdEngine(b *testing.B) {
+	spec := sweepBenchSpec(b)
+	spec.Constraints.AllowOverflow = true
+	ctx := context.Background()
+	var res sweep.Result
+	var err error
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err = sweep.New(0).Run(ctx, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Stats.Evaluated)*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
 }
 
 // BenchmarkSweepWarmCache re-runs the grid on one engine whose memo

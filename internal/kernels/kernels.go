@@ -175,8 +175,12 @@ const (
 // LayerForward returns the ordered per-device ops of one transformer
 // layer's forward pass for the given context.
 func LayerForward(cfg model.Config, e Exec) []Op {
-	return AppendLayerForward(nil, cfg, e)
+	return AppendLayerForward(make([]Op, 0, maxLayerOps), cfg, e)
 }
+
+// maxLayerOps bounds AppendLayerForward's op count: a training layer with
+// sequence parallelism and unfused attention emits 18 ops.
+const maxLayerOps = 18
 
 // AppendLayerForward appends LayerForward's ops to dst and returns the
 // extended slice — the allocation-free enumeration the inference step-cost

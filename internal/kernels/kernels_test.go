@@ -123,6 +123,30 @@ func TestTrainingAddsDropout(t *testing.T) {
 	}
 }
 
+// TestLayerForwardFitsPresize pins maxLayerOps to the largest layer
+// (training, sequence parallelism, unfused attention): LayerForward sizes
+// its op list once, so a new op past the bound would regrow it.
+func TestLayerForwardFitsPresize(t *testing.T) {
+	most := 0
+	for _, cfg := range []model.Config{model.GPT22B(), model.Llama2_13B()} {
+		for _, sp := range []bool{false, true} {
+			for _, flash := range []bool{false, true} {
+				e := trainExec(8, sp)
+				e.Flash = flash
+				ops := LayerForward(cfg, e)
+				if cap(ops) != maxLayerOps {
+					t.Errorf("%s sp=%v flash=%v: %d ops regrew the list to cap %d, maxLayerOps %d",
+						cfg.Name, sp, flash, len(ops), cap(ops), maxLayerOps)
+				}
+				most = max(most, len(ops))
+			}
+		}
+	}
+	if most != maxLayerOps {
+		t.Errorf("largest layer has %d ops, maxLayerOps %d", most, maxLayerOps)
+	}
+}
+
 func TestDecodeShapes(t *testing.T) {
 	// One decode step: GEMM rows = batch, attention reads the whole cache.
 	cfg := model.Llama2_13B()

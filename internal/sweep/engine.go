@@ -6,6 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"optimus/internal/tech"
+	"optimus/internal/train"
 )
 
 // memoEntry is one cached evaluation. The claiming worker closes done
@@ -19,12 +22,18 @@ type memoEntry struct {
 // Engine evaluates sweeps over a bounded worker pool with a memoization
 // cache that persists across Run calls, so repeated (model, system,
 // mapping, …) evaluations — within one grid or across successive sweeps —
-// are costed once.
+// are costed once. Training evaluations also share a shape memo: the
+// per-layer roofline costs of each distinct layer shape are priced once
+// per engine, not once per mapping that uses them.
 type Engine struct {
 	workers int
 
 	mu   sync.Mutex
 	memo map[ident]*memoEntry
+	// shapes holds the priced layer shapes of the training candidates
+	// evaluated so far. Each entry comes from an evaluation that also
+	// added a memo entry, so it never outgrows memo. Not persisted.
+	shapes map[shapeKey]*train.Shape
 	// toks interns the memo identities' tokens, for the engine's lifetime.
 	toks *tokens
 }
@@ -35,7 +44,12 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: workers, memo: make(map[ident]*memoEntry), toks: newTokens()}
+	return &Engine{
+		workers: workers,
+		memo:    make(map[ident]*memoEntry),
+		shapes:  make(map[shapeKey]*train.Shape),
+		toks:    newTokens(),
+	}
 }
 
 // CacheSize reports how many evaluations the memo holds.
@@ -237,7 +251,7 @@ func (e *Engine) evalMiss(ctx context.Context, p *Point, id *ident, prune bool, 
 	ent = &memoEntry{done: make(chan struct{})}
 	e.memo[*id] = ent
 	e.mu.Unlock()
-	ent.m, ent.err = ev.evaluate(*p)
+	ent.m, ent.err = e.evaluate(p, id, ev)
 	close(ent.done)
 	if ent.err != nil {
 		ct.errors.Add(1)
@@ -245,6 +259,55 @@ func (e *Engine) evalMiss(ctx context.Context, p *Point, id *ident, prune bool, 
 	}
 	ct.evaluated.Add(1)
 	return ent.m, true
+}
+
+// evaluate costs a claimed memo miss. A training candidate whose spec
+// validates is priced from its layer shape's memo entry, pricing the
+// shape on first sight (train.ShapeOf) — bit-identical to Evaluate, which
+// prices both parts fresh; an invalid one errors before touching the
+// shape memo. Other workloads go through ev.
+func (e *Engine) evaluate(p *Point, id *ident, ev *evaluator) (Metrics, error) {
+	if p.Workload != Training {
+		return ev.evaluate(*p)
+	}
+	s := trainSpec(*p)
+	if err := s.Validate(); err != nil {
+		return Metrics{}, err
+	}
+	k := shapeKeyOf(p, id.tok.cell)
+	e.mu.Lock()
+	sh := e.shapes[k]
+	e.mu.Unlock()
+	if sh == nil {
+		// Workers missing on one shape at once may each price it; the
+		// shapes are equal, so whichever the map keeps serves the rest.
+		sh = train.ShapeOf(s)
+		e.mu.Lock()
+		e.shapes[k] = sh
+		e.mu.Unlock()
+	}
+	res, err := train.PredictShape(s, sh)
+	return trainingMetrics(*p, res, err)
+}
+
+// shapeKey identifies a training candidate's layer shape (train.Shape):
+// its model|system cell, TP, SP, microbatch, precision and sequence
+// length. Training points carry no flash or storage-precision axis, and
+// the shape depends on nothing else.
+type shapeKey struct {
+	tp, microbatch, seq int
+	precision           tech.Precision
+	cell                uint32
+	sp                  bool
+}
+
+// shapeKeyOf keys training candidate p's layer shape; cell is its
+// model|system token.
+func shapeKeyOf(p *Point, cell uint32) shapeKey {
+	return shapeKey{
+		tp: p.Map.TP, microbatch: p.Map.Microbatch, seq: p.Seq,
+		precision: p.Precision, cell: cell, sp: p.Map.SP,
+	}
 }
 
 // awaitEntry answers a point from a memo entry, waiting for the worker

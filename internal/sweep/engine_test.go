@@ -3,6 +3,7 @@ package sweep_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -101,6 +102,45 @@ func TestMemoAcrossRuns(t *testing.T) {
 	}
 	if formatRows(second.Rows) != formatRows(first.Rows) {
 		t.Error("memoized ranking diverges from the computed one")
+	}
+	// A follow-up query on the reused engine: a new global batch misses
+	// the memo on every candidate but reuses every layer shape priced
+	// for the first query. Both answers must be Serial's.
+	follow := spec
+	follow.GlobalBatches = []int{32}
+	shapes := e.ShapeCount()
+	third, err := e.Run(context.Background(), follow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Stats.MemoHits != 0 || third.Stats.Evaluated == 0 {
+		t.Errorf("follow-up query should miss the memo: %s", third.Stats)
+	}
+	if got := e.ShapeCount(); shapes == 0 || got != shapes {
+		t.Errorf("follow-up query grew the shape memo from %d to %d entries; its shapes were all priced", shapes, got)
+	}
+	assertMatchesSerial(t, "first query", first, spec)
+	assertMatchesSerial(t, "follow-up query", third, follow)
+}
+
+// assertMatchesSerial requires an engine result to rank exactly what
+// Serial ranks for spec, with identical metrics.
+func assertMatchesSerial(t *testing.T, label string, got sweep.Result, spec sweep.Spec) {
+	t.Helper()
+	want, err := sweep.Serial(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 {
+		t.Fatalf("%s: empty serial ranking", label)
+	}
+	if formatRows(got.Rows) != formatRows(want.Rows) {
+		t.Fatalf("%s: engine ranking diverges from serial:\n%s\nwant\n%s", label, formatRows(got.Rows), formatRows(want.Rows))
+	}
+	for i := range want.Rows {
+		if !reflect.DeepEqual(got.Rows[i].Metrics, want.Rows[i].Metrics) {
+			t.Errorf("%s: row %d metrics %+v, serial %+v", label, i, got.Rows[i].Metrics, want.Rows[i].Metrics)
+		}
 	}
 }
 
@@ -213,12 +253,16 @@ func TestEngineWarmAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSweepAllocBudget pins the engine's allocation count on a warm memo:
-// O(cells), not O(candidates). Enumeration allocates a few slices per
-// (model, system, precision, batch, seq) cell and the run a fixed set
-// (workers, channels, ranking); identifying, dispatching and answering a
-// candidate from the memo allocates nothing, so a per-candidate key string
-// or lookup allocation would blow the budget many times over.
+// TestSweepAllocBudget pins the engine's allocation counts. On a warm
+// memo a run allocates O(cells), not O(candidates): enumeration allocates
+// a few slices per (model, system, precision, batch, seq) cell and the
+// run a fixed set (workers, channels, ranking); identifying, dispatching
+// and answering a candidate from the memo allocates nothing, so a
+// per-candidate key string or lookup allocation would blow the budget
+// many times over. On a fresh engine a run also prices each layer shape
+// once and files each evaluation in the memo — O(cells + shapes) plus a
+// memo entry per evaluation, not a full prediction's ~25 allocations per
+// evaluated candidate.
 func TestSweepAllocBudget(t *testing.T) {
 	var systems []*arch.System
 	for _, n := range []int{64, 128, 256, 512} {
@@ -237,18 +281,40 @@ func TestSweepAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := e.Run(context.Background(), spec); err != nil {
-			t.Fatal(err)
+	shapes := e.ShapeCount()
+	evaluated := res.Stats.Evaluated
+	t.Run("warm", func(t *testing.T) {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := e.Run(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d cells, %d candidates: %.0f allocs per warm run", cells, res.Stats.Enumerated, allocs)
+		// Measured: 1750 allocations for 48 cells (about 36 per cell: the
+		// divisor lists and each cell's mapping and point slices) and 9162
+		// candidates. A key string per candidate alone would add 9162.
+		const perCell, perRun = 40, 256
+		if budget := float64(perCell*cells + perRun); allocs > budget {
+			t.Errorf("warm Engine.Run allocates %.0f times for %d cells (%d candidates), budget %.0f",
+				allocs, cells, res.Stats.Enumerated, budget)
 		}
 	})
-	t.Logf("%d cells, %d candidates: %.0f allocs per warm run", cells, res.Stats.Enumerated, allocs)
-	// Measured: 1750 allocations for 48 cells (about 36 per cell: the
-	// divisor lists and each cell's mapping and point slices) and 9162
-	// candidates. A key string per candidate alone would add 9162.
-	const perCell, perRun = 40, 256
-	if budget := float64(perCell*cells + perRun); allocs > budget {
-		t.Errorf("warm Engine.Run allocates %.0f times for %d cells (%d candidates), budget %.0f",
-			allocs, cells, res.Stats.Enumerated, budget)
-	}
+	t.Run("cold", func(t *testing.T) {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := sweep.New(2).Run(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d cells, %d shapes, %d evaluated: %.0f allocs per cold run", cells, shapes, evaluated, allocs)
+		// Measured: 4189 allocations for 48 cells, 31 shapes and 528
+		// evaluations — the warm run's 1752, about 25 per priced shape
+		// (roofline estimates and op lists) and 2–3 per evaluation (its
+		// memo entry, done channel and map growth). Pricing every
+		// evaluation fresh would add some 25 × 528.
+		const perCell, perShape, perEval, perRun = 40, 30, 4, 256
+		if budget := float64(perCell*cells + perShape*shapes + perEval*evaluated + perRun); allocs > budget {
+			t.Errorf("cold Engine.Run allocates %.0f times for %d cells, %d shapes and %d evaluations, budget %.0f",
+				allocs, cells, shapes, evaluated, budget)
+		}
+	})
 }

@@ -1161,7 +1161,13 @@ func (ev *evaluator) evaluate(p Point) (Metrics, error) {
 }
 
 func evaluateTraining(p Point) (Metrics, error) {
-	res, err := train.Predict(train.Spec{
+	res, err := train.Predict(trainSpec(p))
+	return trainingMetrics(p, res, err)
+}
+
+// trainSpec builds the predictor configuration of one training point.
+func trainSpec(p Point) train.Spec {
+	return train.Spec{
 		Model:       p.Model,
 		System:      p.System,
 		Map:         p.Map,
@@ -1169,7 +1175,11 @@ func evaluateTraining(p Point) (Metrics, error) {
 		Seq:         p.Seq,
 		Precision:   p.Precision,
 		Recompute:   p.Recompute,
-	})
+	}
+}
+
+// trainingMetrics maps a training prediction of p onto Metrics.
+func trainingMetrics(p Point, res train.Result, err error) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}

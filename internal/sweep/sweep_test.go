@@ -357,6 +357,27 @@ func TestSameNameDifferentConfigNoCollision(t *testing.T) {
 	if !diverged {
 		t.Error("halving device memory changed no fit verdict — keys may still collide")
 	}
+	// The same two configurations as successive queries on one reused
+	// engine: the second must neither hit the first's memo entries nor
+	// reuse its layer shapes, and each must rank what Serial ranks.
+	reused := sweep.New(2)
+	var shapes []int
+	for _, sys := range []*arch.System{full, half} {
+		q := spec
+		q.Systems = []*arch.System{sys}
+		got, err := reused.Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.MemoHits != 0 {
+			t.Errorf("%s: query hit another configuration's memo entries: %s", sys, got.Stats)
+		}
+		assertMatchesSerial(t, sys.String(), got, q)
+		shapes = append(shapes, reused.ShapeCount())
+	}
+	if shapes[1] != 2*shapes[0] {
+		t.Errorf("shape memo holds %d entries after the first system, %d after both: the second reused the first's shapes", shapes[0], shapes[1])
+	}
 }
 
 // TestInferenceSweep ranks serving configurations across system sizes.

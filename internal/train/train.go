@@ -5,6 +5,17 @@
 // data-parallel gradient all-reduce, activation recomputation overheads,
 // and the optimizer step — decomposed into the compute / communication /
 // other categories of the paper's Fig. 5.
+//
+// Predict runs in two parts. ShapeOf prices a spec's Shape: the roofline
+// and TP-fabric cost of one microbatch through a layer, the embedding and
+// the output head, which depend only on the model, the system, TP, SP,
+// the microbatch size, the sequence length, flash attention and the
+// precisions. PredictShape does the rest — pipeline, data-parallel,
+// optimizer, MFU, traffic and memory — from a Shape without allocating.
+// A design-space search that ranks many mappings of one shape prices the
+// shape once (ShapeOf) and each mapping from it (PredictShape); Predict
+// validates a spec and runs both parts, with the same float operations in
+// the same order, so the two routes give bit-identical results.
 package train
 
 import (
@@ -161,10 +172,17 @@ func collectiveTime(op kernels.Op, tp int, link arch.Link) float64 {
 }
 
 // costOps runs an op list through the roofline engine and the TP fabric.
-func costOps(eng *roofline.Engine, ops []kernels.Op, tp int, link arch.Link) layerCost {
+// With replayedOnly it costs only the ops selective recomputation replays
+// (scores, softmax, attention dropout — Eq. 2's discarded tensors), in
+// list order, so the subset sums the same way a list of its own would.
+func costOps(eng *roofline.Engine, ops []kernels.Op, tp int, link arch.Link, replayedOnly bool) layerCost {
 	var c layerCost
 	nf := float64(tp)
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
+		if replayedOnly && !replayed(op.Name) {
+			continue
+		}
 		switch op.Kind {
 		case kernels.KindGEMM:
 			est := eng.EstimateGEMM(op.GEMM)
@@ -189,7 +207,7 @@ func costOps(eng *roofline.Engine, ops []kernels.Op, tp int, link arch.Link) lay
 				c.gemmMem += est.Time
 			}
 		default:
-			c.comm += collectiveTime(op, tp, link)
+			c.comm += collectiveTime(*op, tp, link)
 			c.commCount++
 			if tp > 1 {
 				// Per-device wire traffic of a ring collective: an
@@ -206,17 +224,66 @@ func costOps(eng *roofline.Engine, ops []kernels.Op, tp int, link arch.Link) lay
 	return c
 }
 
-// selectiveOps filters the attention-core ops that selective recomputation
-// replays (scores, softmax, attention dropout — Eq. 2's discarded tensors).
-func selectiveOps(ops []kernels.Op) []kernels.Op {
-	var out []kernels.Op
-	for _, op := range ops {
-		switch op.Name {
-		case "scores", "softmax", "attn-dropout":
-			out = append(out, op)
-		}
+// replayed reports whether selective recomputation replays the named op.
+func replayed(name string) bool {
+	switch name {
+	case "scores", "softmax", "attn-dropout":
+		return true
 	}
-	return out
+	return false
+}
+
+// Shape is the shape-only part of a training prediction: the forward
+// costs of one microbatch through one transformer layer (and through the
+// subset selective recomputation replays), the embedding and the output
+// head, plus their forward GEMM FLOPs. It depends on the model, the
+// device and TP link of the system, the microbatch size, the sequence
+// length, TP, SP, flash attention and the precisions — not on DP, PP,
+// the pipeline schedule, the microbatch count, the global batch or the
+// recompute regime, so every candidate that differs only in those shares
+// one Shape. A Shape is immutable once built.
+type Shape struct {
+	fwd        layerCost // one layer's forward pass
+	selective  layerCost // the ops of fwd selective recomputation replays
+	emb, logit layerCost // embedding and output head
+	// layerFLOPs and logitFLOPs are the forward GEMM FLOPs of one layer
+	// and of the output head.
+	layerFLOPs, logitFLOPs float64
+}
+
+// ShapeOf prices s's shape: the roofline and TP-fabric cost of every
+// forward op, the part of Predict that PredictShape does not redo. s must
+// be valid (Validate).
+func ShapeOf(s Spec) *Shape {
+	sh := shapeOf(s)
+	return &sh
+}
+
+func shapeOf(s Spec) Shape {
+	eng := roofline.New(s.System.Device)
+	tp := s.Map.TP
+	tpLink := s.System.LinkBetween(tp)
+	exec := kernels.Exec{
+		Batch:     s.Map.Microbatch,
+		Seq:       s.Seq,
+		Context:   s.Seq,
+		TP:        tp,
+		SP:        s.Map.SP,
+		Flash:     s.Flash,
+		Precision: s.Precision,
+		Store:     s.store(),
+		Phase:     kernels.TrainForward,
+	}
+	layerOps := kernels.LayerForward(s.Model, exec)
+	logitOps := kernels.LogitsForward(s.Model, exec)
+	return Shape{
+		fwd:        costOps(eng, layerOps, tp, tpLink, false),
+		selective:  costOps(eng, layerOps, tp, tpLink, true),
+		emb:        costOps(eng, kernels.EmbeddingForward(s.Model, exec), tp, tpLink, false),
+		logit:      costOps(eng, logitOps, tp, tpLink, false),
+		layerFLOPs: kernels.Summarize(layerOps).GEMMFLOPs,
+		logitFLOPs: kernels.Summarize(logitOps).GEMMFLOPs,
+	}
 }
 
 // Predict estimates the iteration time of one training batch.
@@ -224,26 +291,21 @@ func Predict(s Spec) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
+	sh := shapeOf(s)
+	return PredictShape(s, &sh)
+}
+
+// PredictShape is Predict for a valid s whose shape sh already priced
+// (sh is ShapeOf of s or of any spec with the same shape): the pipeline,
+// data-parallel, optimizer, MFU, traffic and memory arithmetic, bit for
+// bit Predict's. It does not validate s.
+//
+//optimus:hotpath
+func PredictShape(s Spec, sh *Shape) (Result, error) {
 	sys := s.System
-	eng := roofline.New(sys.Device)
 	m := s.Map
 	nMicro := m.Microbatches(s.GlobalBatch)
-	tpLink := sys.LinkBetween(m.TP)
-
-	exec := kernels.Exec{
-		Batch:     m.Microbatch,
-		Seq:       s.Seq,
-		Context:   s.Seq,
-		TP:        m.TP,
-		SP:        m.SP,
-		Flash:     s.Flash,
-		Precision: s.Precision,
-		Store:     s.store(),
-		Phase:     kernels.TrainForward,
-	}
-
-	layerOps := kernels.LayerForward(s.Model, exec)
-	fwd := costOps(eng, layerOps, m.TP, tpLink)
+	fwd := sh.fwd
 
 	// Recompute cost per layer per microbatch (device + comm components).
 	var recompute layerCost
@@ -251,7 +313,7 @@ func Predict(s Spec) (Result, error) {
 	case memfoot.Full:
 		recompute = fwd
 	case memfoot.Selective:
-		recompute = costOps(eng, selectiveOps(layerOps), m.TP, tpLink)
+		recompute = sh.selective
 	}
 
 	layers := m.LayersPerDevice(s.Model.Layers)
@@ -267,10 +329,7 @@ func Predict(s Spec) (Result, error) {
 
 	// Embedding and output head on the boundary stages; the pipeline's
 	// critical path takes the slower of the two.
-	embOps := kernels.EmbeddingForward(s.Model, exec)
-	logitOps := kernels.LogitsForward(s.Model, exec)
-	embCost := costOps(eng, embOps, m.TP, tpLink)
-	logitCost := costOps(eng, logitOps, m.TP, tpLink)
+	embCost, logitCost := sh.emb, sh.logit
 	embDevice := embCost.gemm + embCost.ew
 	logitDevice := logitCost.gemm + logitCost.ew
 	boundary := math.Max(embDevice*(1+bwdGEMMFactor), logitDevice*(1+bwdGEMMFactor))
@@ -346,8 +405,7 @@ func Predict(s Spec) (Result, error) {
 	res.GEMMMemoryBound = res.GEMMTime * frac(fwd.gemmMem, fwd.gemm)
 
 	// Useful model FLOPs: forward GEMMs × 3 (fwd + 2x bwd), no recompute.
-	perLayerFwd := kernels.Summarize(layerOps).GEMMFLOPs
-	logitFwd := kernels.Summarize(logitOps).GEMMFLOPs
+	perLayerFwd, logitFwd := sh.layerFLOPs, sh.logitFLOPs
 	perDevice := (lf*perLayerFwd + logitFwd) * 3 * float64(nMicro)
 	res.ModelFLOPs = perDevice * float64(m.Devices())
 	_, peak := sys.Device.BestCompute(s.Precision)
@@ -388,18 +446,6 @@ func LayerGEMMBoundSplit(s Spec) (computeBound, memoryBound float64, err error) 
 	if err := s.Validate(); err != nil {
 		return 0, 0, err
 	}
-	eng := roofline.New(s.System.Device)
-	exec := kernels.Exec{
-		Batch:     s.Map.Microbatch,
-		Seq:       s.Seq,
-		Context:   s.Seq,
-		TP:        s.Map.TP,
-		SP:        s.Map.SP,
-		Flash:     s.Flash,
-		Precision: s.Precision,
-		Store:     s.store(),
-		Phase:     kernels.TrainForward,
-	}
-	c := costOps(eng, kernels.LayerForward(s.Model, exec), s.Map.TP, s.System.LinkBetween(s.Map.TP))
-	return c.gemmComp, c.gemmMem, nil
+	fwd := shapeOf(s).fwd
+	return fwd.gemmComp, fwd.gemmMem, nil
 }

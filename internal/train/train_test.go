@@ -1,6 +1,7 @@
 package train
 
 import (
+	"reflect"
 	"testing"
 
 	"optimus/internal/arch"
@@ -274,5 +275,75 @@ func TestMoreMicrobatchesAmortizeBubble(t *testing.T) {
 	// Per-sequence time should improve with more microbatches.
 	if big.Total/128 >= small.Total/64 {
 		t.Error("larger batch should amortize the pipeline bubble")
+	}
+}
+
+// TestPredictShapeSharesAcrossPlans feeds one spec's Shape to specs that
+// differ from it only in what PredictShape computes — DP/PP split,
+// schedule, global batch, recompute regime and DP overlap — and requires
+// each result to equal a fresh Predict exactly.
+func TestPredictShapeSharesAcrossPlans(t *testing.T) {
+	for _, c := range valdata.Table1() {
+		base := specFor(t, c)
+		sh := ShapeOf(base)
+		n := 0
+		for _, pp := range []int{1, 2, 3, 4, 5, 7, 8} {
+			if base.Model.Layers%pp != 0 || base.System.NumDevices()%(base.Map.TP*pp) != 0 {
+				continue
+			}
+			for _, sched := range []parallel.Schedule{parallel.OneFOneB, parallel.Interleaved1F1B} {
+				for _, rc := range []memfoot.Recompute{memfoot.NoRecompute, memfoot.Selective, memfoot.Full} {
+					s := base
+					s.Map.PP = pp
+					s.Map.DP = base.System.NumDevices() / (base.Map.TP * pp)
+					s.Map.Schedule, s.Map.VirtualStages = sched, 0
+					if sched == parallel.Interleaved1F1B {
+						if pp < 2 || base.Model.Layers%(2*pp) != 0 {
+							continue
+						}
+						s.Map.VirtualStages = 2
+					}
+					s.GlobalBatch = 2 * s.Map.DP * pp
+					s.Recompute, s.DPOverlap = rc, 0.5
+					want, err := Predict(s)
+					if err != nil {
+						t.Fatalf("%s %v: %v", c.Model, s.Map, err)
+					}
+					got, err := PredictShape(s, sh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %v %v: shared shape gives\n%+v\nfresh Predict\n%+v", c.Model, s.Map, rc, got, want)
+					}
+					n++
+				}
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s: no plan variant exercised", c.Model)
+		}
+	}
+}
+
+// TestPredictAllocBudget pins the allocation counts of the training
+// predictor: PredictShape on a priced shape allocates nothing (the sweep
+// engine's inner loop), and a fresh Predict stays within its budget —
+// measured 25: roofline.New, one Levels slice per roofline estimate and
+// the embedding/logits op lists (the layer's op list is sized once).
+func TestPredictAllocBudget(t *testing.T) {
+	for _, c := range valdata.Table1() {
+		s := specFor(t, c)
+		sh := ShapeOf(s)
+		for _, rc := range []memfoot.Recompute{memfoot.NoRecompute, memfoot.Selective, memfoot.Full} {
+			s.Recompute = rc
+			if a := testing.AllocsPerRun(20, func() { _, _ = PredictShape(s, sh) }); a != 0 {
+				t.Errorf("%s %v: warm PredictShape allocates %.0f times, want 0", c.Model, rc, a)
+			}
+			const budget = 25
+			if a := testing.AllocsPerRun(20, func() { _, _ = Predict(s) }); a > budget {
+				t.Errorf("%s %v: fresh Predict allocates %.0f times, budget %d", c.Model, rc, a, budget)
+			}
+		}
 	}
 }
